@@ -31,7 +31,6 @@ from .linalg import (
     herm_part,
     hermitian_eig,
     matrix_from_json,
-    matrix_log_psd,
     matrix_power_psd,
     matrix_to_json,
     partial_trace,
@@ -64,7 +63,6 @@ from .modular import (
     CompressionIsometry,
     RelativeModularOperator,
     ResolventDefect,
-    build_compression,
     compressed_power_residual,
     compression_identity_residual,
     jensen_commutator_norm,

@@ -24,13 +24,12 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, IoFailure, RenyiDpiError
-from .linalg import matrix_from_json, trace_distance
+from .errors import ConfigInvalid, InvalidAlpha, IoFailure, RenyiDpiError
+from .linalg import as_order, matrix_from_json, trace_distance
 from .quantum import DensityMatrix, partial_trace_channel, random_channel, random_density, stream
 from .divergence import (
     OptimizerConfig,
@@ -127,12 +126,12 @@ class ExperimentConfig:
         if len(self.dims) != 2 or any(int(d) < 2 for d in self.dims):
             raise ConfigInvalid(f"dims must be two integers >= 2, got {self.dims}")
         self.dims = (int(self.dims[0]), int(self.dims[1]))
-        grid = tuple(float(a) for a in self.alpha_grid)
+        try:
+            grid = tuple(as_order(a).alpha for a in self.alpha_grid)
+        except InvalidAlpha as exc:
+            raise ConfigInvalid(str(exc)) from exc
         if not grid:
             raise ConfigInvalid("alpha_grid is empty")
-        for a in grid:
-            if not (-1.0 <= a < 0.0 or 0.0 < a < 1.0):
-                raise ConfigInvalid(f"alpha {a} outside [-1,0) u (0,1)")
         self.alpha_grid = grid
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
@@ -264,8 +263,8 @@ _SCENARIO_RUNNERS = {
 
 
 def _run_trial(config: ExperimentConfig, trial: int):
-    # Each trial derives its own stream from (seed, trial), so trials are
-    # independent and safe to evaluate concurrently.
+    # Each trial derives its own stream from (seed, trial), so its rows do
+    # not depend on which trials ran before it.
     rng = stream(config.seed, trial)
     runner = _SCENARIO_RUNNERS[config.scenario]
     try:
@@ -275,24 +274,22 @@ def _run_trial(config: ExperimentConfig, trial: int):
         return rows, {"trial": trial, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run(config: ExperimentConfig, max_workers: int = 4) -> tuple[list[ScanRow], dict]:
+def run(config: ExperimentConfig) -> tuple[list[ScanRow], dict]:
     """Execute a scan; deterministic for a fixed seed.
 
-    Trials run concurrently on a small thread pool; rows come back
-    ordered by trial index regardless of completion order. A failing
-    trial produces flagged rows (dpi_ok False) and an entry in the
-    summary's error list instead of aborting the scan.
+    Trials run serially in trial order. A failing trial produces flagged
+    rows (dpi_ok False) and an entry in the summary's error list instead
+    of aborting the scan.
     """
     config.validate()
     started = time.perf_counter()
     rows: list[ScanRow] = []
     errors: list[dict] = []
-    with ThreadPoolExecutor(max_workers=max(1, min(max_workers, config.trials))) as pool:
-        for trial_rows, error in pool.map(_run_trial, [config] * config.trials,
-                                          range(config.trials)):
-            rows.extend(trial_rows)
-            if error is not None:
-                errors.append(error)
+    for trial in range(config.trials):
+        trial_rows, error = _run_trial(config, trial)
+        rows.extend(trial_rows)
+        if error is not None:
+            errors.append(error)
     max_violation = max(max((-r.dpi_gap for r in rows), default=0.0), 0.0)
     saturating = [r for r in rows if r.saturated]
     max_sat_residual = max(

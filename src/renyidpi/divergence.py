@@ -21,7 +21,9 @@ from .errors import (
     NonConvergence,
     QuadratureFailure,
 )
-from .linalg import (
+from .linalg import (  # RenyiOrder is re-exported from here
+    RenyiOrder,
+    as_order,
     dagger,
     frobenius,
     herm_part,
@@ -38,38 +40,6 @@ NEAR_EQUAL_TOL = 1e-12
 # Working range for the variational search; closed forms accept the full
 # [-1,0) u (0,1) interval.
 ALPHA_VARIATIONAL_MIN = 1e-3
-
-
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Renyi parameter alpha in [-1,0) u (0,1).
-
-    Derived quantities: p = 2/(1-alpha) is the weighted-norm order and
-    n = 1/(1-alpha) the conventional Renyi order of the sandwiched
-    divergence on commuting inputs.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (-1.0 <= a < 0.0 or 0.0 < a < 1.0):
-            raise InvalidAlpha(f"alpha must lie in [-1,0) or (0,1), got {a}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def p(self) -> float:
-        return 2.0 / (1.0 - self.alpha)
-
-    @property
-    def n(self) -> float:
-        return 1.0 / (1.0 - self.alpha)
-
-
-def as_order(order) -> RenyiOrder:
-    if isinstance(order, RenyiOrder):
-        return order
-    return RenyiOrder(float(order))
 
 
 def _check_pair(rho: DensityMatrix, sigma: DensityMatrix):

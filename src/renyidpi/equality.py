@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, RenyiDpiError, SingularOutputState
+from .errors import DimensionMismatch, NotPositiveDefinite, RenyiDpiError, SingularOutputState
 from .linalg import (
-    EPS_POS,
+    as_order,
     dagger,
     frobenius,
     herm_part,
     matrix_power_psd,
-    partial_trace,
+    positive_eig,
     product_power,
     trace_norm,
 )
@@ -41,7 +41,7 @@ from .quantum import (
     stinespring_dilate,
     stream,
 )
-from .divergence import as_order, closed_form_optimizer, dpi_gap
+from .divergence import closed_form_optimizer, dpi_gap
 
 SATURATION_TOL = 1e-8
 
@@ -63,8 +63,9 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    a_half = matrix_power_psd(a, 0.5)
-    a_mhalf = matrix_power_psd(a, -0.5)
+    sd = positive_eig(a)
+    a_half = sd.power(0.5)
+    a_mhalf = sd.power(-0.5)
     mid = herm_part(a_mhalf @ b @ a_mhalf)
     return herm_part(a_half @ matrix_power_psd(mid, float(lam)) @ a_half)
 
@@ -79,10 +80,6 @@ def default_beta_grid(alpha: float) -> tuple[complex, ...]:
 
 def _normalized(diff: np.ndarray) -> float:
     return frobenius(diff) / np.sqrt(diff.shape[0])
-
-
-def _reduced(state: DensityMatrix, dims: tuple[int, int]) -> DensityMatrix:
-    return DensityMatrix(partial_trace(state.matrix, dims, "B"))
 
 
 def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order) -> float:
@@ -115,16 +112,16 @@ def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     order = as_order(order)
     lam = 1.0 / (1.0 - order.alpha)
     a = order.alpha
-    rho_a = _reduced(rho_ab, dims)
-    sigma_a = _reduced(sigma_ab, dims)
+    rho_a = rho_ab.reduced(dims)
+    sigma_a = sigma_ab.reduced(dims)
     lhs = np.kron(geometric_mean(rho_a.matrix, sigma_a.power(a), lam), np.eye(dims[1]))
     rhs = geometric_mean(rho_ab.matrix, sigma_ab.power(a), lam)
     return _normalized(lhs - rhs)
 
 
-def _t3_side(rho_mat: np.ndarray, sigma_mat: np.ndarray, alpha: float, beta: complex) -> np.ndarray:
+def _t3_side(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, beta: complex) -> np.ndarray:
     z = beta / (alpha - 1.0)
-    return matrix_power_psd(sigma_mat, beta) @ product_power(rho_mat, sigma_mat, alpha, z)
+    return sigma.power(beta) @ product_power(rho.matrix, sigma.matrix, alpha, z)
 
 
 def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order,
@@ -138,10 +135,10 @@ def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
     """
     order = as_order(order)
     beta = complex(beta)
-    lhs = _t3_side(rho.matrix, sigma.matrix, order.alpha, beta)
+    lhs = _t3_side(rho, sigma, order.alpha, beta)
     out_r = ch.apply_density(rho)
     out_s = ch.apply_density(sigma)
-    rhs = ch.adjoint_apply(_t3_side(out_r.matrix, out_s.matrix, order.alpha, beta))
+    rhs = ch.adjoint_apply(_t3_side(out_r, out_s, order.alpha, beta))
     return _normalized(lhs - rhs)
 
 
@@ -157,10 +154,10 @@ def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChann
     order = as_order(order)
     beta = complex(beta)
     v = stinespring_dilate(ch)
-    lhs = _t3_side(rho.matrix, sigma.matrix, order.alpha, beta)
+    lhs = _t3_side(rho, sigma, order.alpha, beta)
     out_r = DensityMatrix(v.apply(rho.matrix))
     out_s = DensityMatrix(v.apply(sigma.matrix))
-    rhs = v.adjoint_apply(_t3_side(out_r.matrix, out_s.matrix, order.alpha, beta))
+    rhs = v.adjoint_apply(_t3_side(out_r, out_s, order.alpha, beta))
     return _normalized(lhs - rhs)
 
 
@@ -169,8 +166,8 @@ def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     """Residual of sigma_AB^beta rho_AB^-beta = sigma_A^beta rho_A^-beta otimes I_B,
     the relative-entropy saturation family."""
     beta = complex(beta)
-    rho_a = _reduced(rho_ab, dims)
-    sigma_a = _reduced(sigma_ab, dims)
+    rho_a = rho_ab.reduced(dims)
+    sigma_a = sigma_ab.reduced(dims)
     lhs = sigma_ab.power(beta) @ rho_ab.power(-beta)
     rhs = np.kron(sigma_a.power(beta) @ rho_a.power(-beta), np.eye(dims[1]))
     return _normalized(lhs - rhs)
@@ -182,10 +179,10 @@ def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.nd
     Recovers sigma from ch(sigma) exactly, and recovers any rho from
     ch(rho) exactly when the data-processing inequality saturates.
     """
-    out_sigma = herm_part(ch.apply(sigma.matrix))
-    if np.linalg.eigvalsh(out_sigma).min() < EPS_POS:
-        raise SingularOutputState("channel output of sigma is below the positivity floor")
-    pivot = matrix_power_psd(out_sigma, -0.5)
+    try:
+        pivot = matrix_power_psd(herm_part(ch.apply(sigma.matrix)), -0.5)
+    except NotPositiveDefinite as exc:
+        raise SingularOutputState("channel output of sigma is below the positivity floor") from exc
     s_half = sigma.sqrt()
     return s_half @ ch.adjoint_apply(pivot @ np.asarray(y, dtype=complex) @ pivot) @ s_half
 
@@ -201,7 +198,7 @@ def alpha_recover(sigma_ab: DensityMatrix, dims: tuple[int, int], order,
     """
     order = as_order(order)
     a = order.alpha
-    sigma_a = _reduced(sigma_ab, dims)
+    sigma_a = sigma_ab.reduced(dims)
     x_a = np.asarray(x_a, dtype=complex)
     if x_a.shape != (dims[0], dims[0]):
         raise DimensionMismatch(f"input side {x_a.shape} does not match d_A {dims[0]}")
@@ -213,7 +210,7 @@ def necessary1_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
                         dims: tuple[int, int], order) -> float:
     """Perfect-recovery form of the power-family condition at beta = alpha - 1:
     the power-family map must send rho_A back to rho_AB."""
-    rho_a = _reduced(rho_ab, dims)
+    rho_a = rho_ab.reduced(dims)
     recovered = alpha_recover(sigma_ab, dims, order, rho_a.matrix)
     return _normalized(recovered - rho_ab.matrix)
 
@@ -222,8 +219,8 @@ def necessary2_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
                         dims: tuple[int, int]) -> float:
     """Residual of sigma_A rho_A^-1 otimes I_B = sigma_AB rho_AB^-1, the
     beta = 1 - alpha corollary; necessary but possibly not sufficient."""
-    rho_a = _reduced(rho_ab, dims)
-    sigma_a = _reduced(sigma_ab, dims)
+    rho_a = rho_ab.reduced(dims)
+    sigma_a = sigma_ab.reduced(dims)
     lhs = np.kron(sigma_a.matrix @ rho_a.power(-1.0), np.eye(dims[1]))
     rhs = sigma_ab.matrix @ rho_ab.power(-1.0)
     return _normalized(lhs - rhs)
@@ -234,7 +231,7 @@ def recovery_error(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     """Trace-norm error of Petz recovery from the reduced state,
     || R_{sigma,Tr_B}(rho_A) - rho_AB ||_1."""
     ch = partial_trace_channel(*dims)
-    rho_a = _reduced(rho_ab, dims)
+    rho_a = rho_ab.reduced(dims)
     return trace_norm(petz_recover(sigma_ab, ch, rho_a.matrix) - rho_ab.matrix)
 
 
@@ -248,8 +245,8 @@ def weighted_modular_pair(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     through rho_AB^(1/2). Both weighted states have unit trace.
     """
     order = as_order(order)
-    rho_a = _reduced(rho_ab, dims)
-    sigma_a = _reduced(sigma_ab, dims)
+    rho_a = rho_ab.reduced(dims)
+    sigma_a = sigma_ab.reduced(dims)
     omega_a = closed_form_optimizer(rho_a, sigma_a, order).omega_star
     r_mhalf = rho_a.power(-0.5)
     a_star_sq = herm_part(r_mhalf @ omega_a.matrix @ r_mhalf)

@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives.
 
-Hermitian spectral calculus, principal matrix powers, row-major
-vectorization, partial traces, and Schatten norms. Everything here is a
-pure function over numpy arrays; dimensions are desk scale (a few
-qubits), so no attempt is made at sparsity or blocking.
+The validated Renyi order, Hermitian spectral calculus, principal matrix
+powers, row-major vectorization, partial traces, and Schatten norms.
+Everything here is a pure function over numpy arrays; dimensions are
+desk scale (a few qubits), so no attempt is made at sparsity or blocking.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidAlpha,
     InvalidOrder,
     NonHermitian,
     NonSquare,
@@ -26,6 +27,38 @@ EPS_POS = 1e-10
 
 # Hermiticity tolerance, relative to the Frobenius norm of the input.
 HERM_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class RenyiOrder:
+    """Renyi parameter alpha in [-1,0) u (0,1).
+
+    Derived quantities: p = 2/(1-alpha) is the weighted-norm order and
+    n = 1/(1-alpha) the conventional Renyi order of the sandwiched
+    divergence on commuting inputs.
+    """
+
+    alpha: float
+
+    def __post_init__(self):
+        a = float(self.alpha)
+        if not (-1.0 <= a < 0.0 or 0.0 < a < 1.0):
+            raise InvalidAlpha(f"alpha must lie in [-1,0) or (0,1), got {a}")
+        object.__setattr__(self, "alpha", a)
+
+    @property
+    def p(self) -> float:
+        return 2.0 / (1.0 - self.alpha)
+
+    @property
+    def n(self) -> float:
+        return 1.0 / (1.0 - self.alpha)
+
+
+def as_order(order) -> RenyiOrder:
+    if isinstance(order, RenyiOrder):
+        return order
+    return RenyiOrder(float(order))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -68,6 +101,19 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
 
+    def power(self, z: complex) -> np.ndarray:
+        """Principal power V diag(lambda^z) V^dagger with lambda^z = exp(z ln lambda).
+
+        Complex exponents are allowed; the result is re-Hermitized when z
+        is real, and z = 0 gives the identity.
+        """
+        if complex(z) == 0.0:
+            return np.eye(len(self.eigenvalues), dtype=complex)
+        out = self.apply(lambda w: np.power(w.astype(complex), z))
+        if complex(z).imag == 0.0:
+            out = herm_part(out)
+        return out
+
 
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
@@ -84,32 +130,25 @@ def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def matrix_power_psd(m: np.ndarray, z: complex) -> np.ndarray:
-    """Principal power m^z of a strictly positive Hermitian matrix.
+def positive_eig(m: np.ndarray) -> SpectralDecomposition:
+    """Spectral decomposition of a strictly positive Hermitian matrix.
 
-    Computed as V diag(lambda^z) V^dagger with lambda^z = exp(z ln lambda),
-    so complex exponents are allowed. The result is re-Hermitized when z
-    is real.
+    Raises NotPositiveDefinite when the smallest eigenvalue is below EPS_POS.
     """
     sd = hermitian_eig(m)
     if sd.eigenvalues.min() < EPS_POS:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {sd.eigenvalues.min():.3e} below floor {EPS_POS:.0e}"
         )
-    if complex(z) == 0.0:
-        return np.eye(m.shape[0], dtype=complex)
-    out = sd.apply(lambda w: np.power(w.astype(complex), z))
-    if np.isrealobj(z) or (isinstance(z, complex) and z.imag == 0.0):
-        out = herm_part(out)
-    return out
+    return sd
 
 
-def matrix_log_psd(m: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a strictly positive Hermitian matrix."""
-    sd = hermitian_eig(m)
-    if sd.eigenvalues.min() < EPS_POS:
-        raise NotPositiveDefinite("matrix logarithm needs a strictly positive input")
-    return herm_part(sd.apply(np.log))
+def matrix_power_psd(m: np.ndarray, z: complex) -> np.ndarray:
+    """Principal power m^z of a strictly positive Hermitian matrix.
+
+    See SpectralDecomposition.power for the exponent conventions.
+    """
+    return positive_eig(m).power(z)
 
 
 def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: complex) -> np.ndarray:
@@ -127,8 +166,9 @@ def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: complex) 
     sigma = _as_square(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    s_half = matrix_power_psd(sigma, alpha / 2.0)
-    s_mhalf = matrix_power_psd(sigma, -alpha / 2.0)
+    sd = positive_eig(sigma)
+    s_half = sd.power(alpha / 2.0)
+    s_mhalf = sd.power(-alpha / 2.0)
     mid = herm_part(s_mhalf @ rho @ s_mhalf)
     return s_half @ matrix_power_psd(mid, z) @ s_mhalf
 

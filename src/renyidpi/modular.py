@@ -13,13 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeight,
-    DimensionMismatch,
-    InvalidAlpha,
-    SingularResolvent,
-)
-from .linalg import dagger, frobenius, herm_part, partial_trace, vectorize
+from .errors import DegenerateWeight, DimensionMismatch, SingularResolvent
+from .linalg import as_order, dagger, frobenius, herm_part, hermitian_eig, partial_trace, vectorize
 from .quantum import DensityMatrix, PurifiedState
 
 # Eigenvalues of a compressed operator below this cutoff are treated as
@@ -84,13 +79,6 @@ class RelativeModularOperator:
         return self.function_matrix(np.log)
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (-1.0 <= alpha < 0.0 or 0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"alpha must lie in [-1,0) or (0,1), got {alpha}")
-    return alpha
-
-
 def quadratic_form(rho: DensityMatrix, sigma: DensityMatrix, omega: DensityMatrix,
                    alpha: float) -> float:
     """<rho^(1/2)| Delta_{sigma,omega}^-alpha |rho^(1/2)>.
@@ -98,7 +86,7 @@ def quadratic_form(rho: DensityMatrix, sigma: DensityMatrix, omega: DensityMatri
     Evaluates to Tr[rho^(1/2) sigma^-alpha rho^(1/2) omega^alpha], a
     positive real.
     """
-    alpha = _check_alpha(alpha)
+    alpha = as_order(alpha).alpha
     if not (rho.dim == sigma.dim == omega.dim):
         raise DimensionMismatch("states live on different spaces")
     val = np.trace(rho.sqrt() @ sigma.power(-alpha) @ rho.sqrt() @ omega.power(alpha))
@@ -109,7 +97,7 @@ def quadratic_form_superop(rho: DensityMatrix, sigma: DensityMatrix,
                            omega: DensityMatrix, alpha: float) -> float:
     """Same quadratic form through a brute-force eigendecomposition of the
     materialized super-operator matrix; cross-check route for tests."""
-    alpha = _check_alpha(alpha)
+    alpha = as_order(alpha).alpha
     dop = RelativeModularOperator(sigma, omega)
     big = herm_part(dop.matrix_power(1.0))
     w, v = np.linalg.eigh(big)
@@ -133,7 +121,7 @@ class CompressionIsometry:
             )
         self.d_a, self.d_b = int(d_a), int(d_b)
         self.rho_ab = rho_ab
-        self.rho_a = DensityMatrix(partial_trace(rho_ab.matrix, (d_a, d_b), "B"))
+        self.rho_a = rho_ab.reduced((d_a, d_b))
         r_ab_half = rho_ab.sqrt()
         r_a_mhalf = self.rho_a.power(-0.5)
         eye_b = np.eye(d_b, dtype=complex)
@@ -155,10 +143,6 @@ class CompressionIsometry:
         return frobenius(dagger(u) @ u - np.eye(self.d_a**2))
 
 
-def build_compression(rho_ab: DensityMatrix, d_a: int, d_b: int) -> CompressionIsometry:
-    return CompressionIsometry(rho_ab, d_a, d_b)
-
-
 def compression_identity_residual(ci: CompressionIsometry, sigma_ab: DensityMatrix,
                                   a: np.ndarray) -> float:
     """Residual of U* Delta_AB U = Delta_A with matched |a|^2 weights.
@@ -175,10 +159,10 @@ def compression_identity_residual(ci: CompressionIsometry, sigma_ab: DensityMatr
     if a.shape != (ci.d_a, ci.d_a):
         raise DimensionMismatch(f"weight side {a.shape} does not match d_A {ci.d_a}")
     w = herm_part(dagger(a) @ a)
-    evals, vecs = np.linalg.eigh(w)
-    if evals.min() < 1e-8 * max(evals.max(), 1e-300):
+    sd = hermitian_eig(w)
+    if sd.eigenvalues.min() < 1e-8 * max(sd.eigenvalues.max(), 1e-300):
         raise DegenerateWeight("weight operator |a|^2 is singular beyond the floor")
-    w_inv = herm_part((vecs * (1.0 / evals)) @ dagger(vecs))
+    w_inv = herm_part(sd.apply(lambda x: 1.0 / x))
     # Both weighted states share the trace Tr[w rho_A].
     scale = float(np.trace(w @ ci.rho_a.matrix).real)
     r_ab_mhalf = ci.rho_ab.power(-0.5)
@@ -209,16 +193,6 @@ def jensen_commutator_norm(ci: CompressionIsometry, dop: RelativeModularOperator
     return frobenius(p @ big - big @ p)
 
 
-def _pseudo_power(h: np.ndarray, t: float) -> np.ndarray:
-    """Power of a PSD matrix restricted to its numerical range."""
-    w, v = np.linalg.eigh(herm_part(h))
-    w = np.where(w > POWER_CUT, w, 0.0)
-    f = np.zeros_like(w)
-    pos = w > 0.0
-    f[pos] = w[pos] ** t
-    return (v * f) @ dagger(v)
-
-
 def compressed_power_residual(ci: CompressionIsometry, dop: RelativeModularOperator,
                               t: float) -> float:
     """|| P Delta^t P - (P Delta P)^t ||_F with the power taken on range(P)."""
@@ -229,8 +203,15 @@ def compressed_power_residual(ci: CompressionIsometry, dop: RelativeModularOpera
     p = ci.projector
     if t == 1.0:
         return 0.0
+
+    def on_range(w: np.ndarray) -> np.ndarray:
+        f = np.zeros_like(w)
+        pos = w > POWER_CUT
+        f[pos] = w[pos] ** t
+        return f
+
     lhs = p @ dop.matrix_power(t) @ p
-    rhs = _pseudo_power(p @ dop.matrix_power(1.0) @ p, t)
+    rhs = hermitian_eig(herm_part(p @ dop.matrix_power(1.0) @ p)).apply(on_range)
     return frobenius(lhs - rhs)
 
 

@@ -38,7 +38,9 @@ class DensityMatrix:
     """Strictly positive, unit-trace Hermitian matrix with cached eigen-data.
 
     Immutable after construction; `regularized` records whether the value
-    came out of the sampler's near-singularity fixup.
+    came out of the sampler's near-singularity fixup. Powers and reduced
+    states are cached per instance, so every spectral function of a state
+    reuses its one eigendecomposition.
     """
 
     def __init__(self, matrix: np.ndarray, regularized: bool = False):
@@ -65,19 +67,22 @@ class DensityMatrix:
         self.min_eig = min_eig
         self.regularized = bool(regularized)
         self._pow_cache: dict[complex, np.ndarray] = {}
+        self._reduced_cache: dict[tuple[int, int], DensityMatrix] = {}
 
     def power(self, z: complex) -> np.ndarray:
         """Principal matrix power, cached per exponent."""
         key = complex(z)
         got = self._pow_cache.get(key)
         if got is None:
-            if key == 0.0:
-                got = np.eye(self.dim, dtype=complex)
-            else:
-                got = self.spectral.apply(lambda w: np.power(w.astype(complex), key))
-                if key.imag == 0.0:
-                    got = herm_part(got)
-            self._pow_cache[key] = got
+            got = self._pow_cache[key] = self.spectral.power(key)
+        return got
+
+    def reduced(self, dims: tuple[int, int]) -> "DensityMatrix":
+        """Reduced state Tr_B of a state on A (x) B with dims (d_A, d_B), cached per dims."""
+        key = (int(dims[0]), int(dims[1]))
+        got = self._reduced_cache.get(key)
+        if got is None:
+            got = self._reduced_cache[key] = DensityMatrix(partial_trace(self.matrix, key, "B"))
         return got
 
     def sqrt(self) -> np.ndarray:

@@ -9,10 +9,10 @@ import time
 import numpy as np
 
 from renyidpi import (
+    CompressionIsometry,
     OptimizerConfig,
     RelativeModularOperator,
     alpha_recover,
-    build_compression,
     build_recoverable_triple,
     closed_form_optimizer,
     compressed_power_residual,
@@ -117,7 +117,7 @@ def test_criterion_04_compression_identity():
         rho_ab = random_density(4, rng)
         sigma_ab = random_density(4, rng)
         a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         worst = max(worst, compression_identity_residual(ci, sigma_ab, a))
     _criterion(4, worst <= 1e-9, "compression identity is unconditional",
                f"max residual {worst:.2e}")
@@ -136,7 +136,7 @@ def test_criterion_05_saturation_equivalence():
                 worst_res = max(worst_res, report.max_residual())
                 worst_gap = max(worst_gap, abs(dpi_gap(rho_ab, sigma_ab, ch, alpha)))
             worst_rec = max(worst_rec, recovery_error(rho_ab, sigma_ab, dims))
-            ci = build_compression(rho_ab, *dims)
+            ci = CompressionIsometry(rho_ab, *dims)
             dop = RelativeModularOperator(sigma_ab, rho_ab)
             worst_comm = max(worst_comm, jensen_commutator_norm(ci, dop))
             for t in (0.25, 0.5, 0.75):

@@ -43,6 +43,27 @@ def random_pair(dim, seed):
     return random_density(dim, stream(seed, 0)), random_density(dim, stream(seed, 1))
 
 
+class TestEigensolveCount:
+    def test_full_report_reuses_cached_eigen_data(self, monkeypatch):
+        # Each state is diagonalized once and its powers and reduced
+        # states are cached, so a second order on the same pair needs no
+        # eigensolve of rho_AB, sigma_AB or their marginals.
+        rho, sigma = random_density(4, 11), random_density(4, 12)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        full_report(rho, sigma, (2, 2), 0.5)
+        first = len(calls)
+        full_report(rho, sigma, (2, 2), -0.3)
+        assert first <= 66
+        assert len(calls) - first <= 64
+
+
 class TestGeometricMean:
     def test_endpoint_weights(self):
         rng = np.random.default_rng(0)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from renyidpi import (
+    CompressionIsometry,
     DEFAULT_T_GRID,
     DegenerateWeight,
     DensityMatrix,
     InvalidAlpha,
     RelativeModularOperator,
     SingularResolvent,
-    build_compression,
     build_recoverable_triple,
     canonical_purification,
     compressed_power_residual,
@@ -113,7 +113,7 @@ class TestCompression:
         rho_a = random_density(2, 20)
         rho_b = random_density(2, 21)
         rho_ab = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         rng = np.random.default_rng(22)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         out = ci.matrix @ vectorize(a)
@@ -121,13 +121,13 @@ class TestCompression:
 
     def test_maps_purification(self):
         rho_ab = random_density(6, 23)
-        ci = build_compression(rho_ab, 2, 3)
+        ci = CompressionIsometry(rho_ab, 2, 3)
         out = ci.matrix @ canonical_purification(ci.rho_a).amplitudes
         np.testing.assert_allclose(out, vectorize(rho_ab.sqrt()), atol=1e-10)
 
     def test_isometry_and_projector(self):
         for seed in range(5):
-            ci = build_compression(random_density(4, seed), 2, 2)
+            ci = CompressionIsometry(random_density(4, seed), 2, 2)
             assert ci.isometry_residual() <= 1e-10
             p = ci.projector
             assert frobenius(p @ p - p) <= 1e-10
@@ -136,14 +136,14 @@ class TestCompression:
 
 class TestCompressionIdentity:
     def test_identity_weight(self):
-        ci = build_compression(random_density(4, 30), 2, 2)
+        ci = CompressionIsometry(random_density(4, 30), 2, 2)
         sigma_ab = random_density(4, 31)
         assert compression_identity_residual(ci, sigma_ab, np.eye(2)) <= 1e-10
 
     def test_random_weights(self):
         rng = np.random.default_rng(32)
         for seed in range(10):
-            ci = build_compression(random_density(4, stream(33, seed)), 2, 2)
+            ci = CompressionIsometry(random_density(4, stream(33, seed)), 2, 2)
             sigma_ab = random_density(4, stream(34, seed))
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             assert compression_identity_residual(ci, sigma_ab, a) <= 1e-9
@@ -151,13 +151,13 @@ class TestCompressionIdentity:
     def test_product_states(self):
         rho_ab = DensityMatrix(np.kron(random_density(2, 35).matrix, random_density(2, 36).matrix))
         sigma_ab = DensityMatrix(np.kron(random_density(2, 37).matrix, random_density(2, 38).matrix))
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         rng = np.random.default_rng(39)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert compression_identity_residual(ci, sigma_ab, a) <= 1e-10
 
     def test_rejects_singular_weight(self):
-        ci = build_compression(random_density(4, 40), 2, 2)
+        ci = CompressionIsometry(random_density(4, 40), 2, 2)
         sigma_ab = random_density(4, 41)
         with pytest.raises(DegenerateWeight):
             compression_identity_residual(ci, sigma_ab, np.diag([1.0, 0.0]))
@@ -167,7 +167,7 @@ class TestJensenDiagnostics:
     def test_commutator_vanishes_on_recoverable(self):
         for kind in ("product", "blocked", "conjugated-product"):
             rho_ab, sigma_ab = build_recoverable_triple(kind, (2, 2), 50)
-            ci = build_compression(rho_ab, 2, 2)
+            ci = CompressionIsometry(rho_ab, 2, 2)
             dop = RelativeModularOperator(sigma_ab, rho_ab)
             assert jensen_commutator_norm(ci, dop) <= 1e-8
 
@@ -175,7 +175,7 @@ class TestJensenDiagnostics:
         rho_ab = DensityMatrix(
             np.kron(random_density(2, 51).matrix, random_density(2, 151).matrix)
         )
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(rho_ab, rho_ab)
         assert jensen_commutator_norm(ci, dop) <= 1e-8
 
@@ -187,7 +187,7 @@ class TestJensenDiagnostics:
 
         rho_ab = random_density(4, 51)
         assert recovery_error(rho_ab, rho_ab, (2, 2)) <= 1e-10
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(rho_ab, rho_ab)
         assert jensen_commutator_norm(ci, dop) > 1e-2
         report = full_report(rho_ab, rho_ab, (2, 2), 0.5)
@@ -196,19 +196,19 @@ class TestJensenDiagnostics:
     def test_commutator_positive_on_generic(self):
         rho_ab = random_density(4, 52)
         sigma_ab = random_density(4, 53)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         assert jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab)) > 1e-4
 
     def test_compressed_power_t1_exact(self):
         rho_ab = random_density(4, 54)
         sigma_ab = random_density(4, 55)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(sigma_ab, rho_ab)
         assert compressed_power_residual(ci, dop, 1.0) == 0.0
 
     def test_compressed_power_on_recoverable(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 56)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(sigma_ab, rho_ab)
         for t in (0.25, 0.5, 0.75):
             assert compressed_power_residual(ci, dop, t) <= 1e-8
@@ -216,7 +216,7 @@ class TestJensenDiagnostics:
     def test_compressed_power_positive_on_generic(self):
         rho_ab = random_density(4, 57)
         sigma_ab = random_density(4, 58)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(sigma_ab, rho_ab)
         assert compressed_power_residual(ci, dop, 0.5) > 1e-6
 
@@ -224,7 +224,7 @@ class TestJensenDiagnostics:
 class TestResolventDefect:
     def test_recoverable_triples(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 60)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         pur = canonical_purification(ci.rho_a)
         for alpha in (0.3, -0.5):
             dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, (2, 2), alpha)
@@ -236,7 +236,7 @@ class TestResolventDefect:
     def test_generic_psd_with_positive_defect(self):
         rho_ab = random_density(4, 61)
         sigma_ab = random_density(4, 62)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         pur = canonical_purification(ci.rho_a)
         dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, (2, 2), 0.5)
         defects = []
@@ -249,14 +249,14 @@ class TestResolventDefect:
 
     def test_maximally_mixed(self):
         mm = DensityMatrix(np.eye(4) / 4)
-        ci = build_compression(mm, 2, 2)
+        ci = CompressionIsometry(mm, 2, 2)
         dop_ab, dop_a = weighted_modular_pair(mm, mm, (2, 2), 0.3)
         out = resolvent_defect(ci, dop_ab, dop_a, 1.0, canonical_purification(ci.rho_a))
         assert out.defect <= 1e-10
 
     def test_guards_small_t(self):
         rho_ab = random_density(4, 63)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop_ab, dop_a = weighted_modular_pair(rho_ab, random_density(4, 64), (2, 2), 0.5)
         with pytest.raises(SingularResolvent):
             resolvent_defect(ci, dop_ab, dop_a, 1e-9, canonical_purification(ci.rho_a))
@@ -265,7 +265,7 @@ class TestResolventDefect:
         # U* Delta_AB U = Delta_A holds exactly for the optimizer weights.
         rho_ab = random_density(4, 65)
         sigma_ab = random_density(4, 66)
-        ci = build_compression(rho_ab, 2, 2)
+        ci = CompressionIsometry(rho_ab, 2, 2)
         dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, (2, 2), -0.4)
         u = ci.matrix
         resid = frobenius(dagger(u) @ dop_ab.matrix_power(1.0) @ u - dop_a.matrix_power(1.0))

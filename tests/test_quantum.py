@@ -11,7 +11,9 @@ from renyidpi import (
     channel_to_json,
     dagger,
     frobenius,
+    herm_part,
     identity_channel,
+    matrix_power_psd,
     partial_trace,
     partial_trace_channel,
     random_channel,
@@ -39,6 +41,19 @@ class TestDensityMatrix:
         rho = random_density(3, 0)
         np.testing.assert_allclose(rho.sqrt() @ rho.sqrt(), rho.matrix, atol=1e-12)
         np.testing.assert_allclose(rho.power(-1.0) @ rho.matrix, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("z", (0, 0.5, -0.3, 1j, 0.5 + 1j))
+    def test_cached_power_is_matrix_power(self, z):
+        rho = random_density(3, 4)
+        assert np.array_equal(rho.power(z), matrix_power_psd(rho.matrix, z))
+        assert rho.power(z) is rho.power(z)
+
+    def test_cached_reduced_state(self):
+        rho = random_density(6, 5)
+        np.testing.assert_array_equal(rho.reduced((2, 3)).matrix,
+                                      herm_part(partial_trace(rho.matrix, (2, 3), "B")))
+        assert rho.reduced((2, 3)) is rho.reduced((2, 3))
+        assert rho.reduced((3, 2)).dim == 3
 
     def test_immutable(self):
         rho = random_density(2, 0)
