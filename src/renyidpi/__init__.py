@@ -91,6 +91,7 @@ from .equality import (
     RECOVERABLE_KINDS,
     SATURATION_TOL,
     ResidualReport,
+    SaturationContext,
     alpha_recover,
     build_recoverable_triple,
     default_beta_grid,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, InvalidAlpha, IoFailure, RenyiDpiError
+from .errors import ConfigInvalid, DimensionMismatch, InvalidAlpha, IoFailure, RenyiDpiError
 from .linalg import as_order, matrix_from_json, trace_distance
 from .quantum import DensityMatrix, partial_trace_channel, random_channel, random_density, stream
 from .divergence import (
@@ -43,11 +43,11 @@ from .divergence import (
 )
 from .equality import (
     RECOVERABLE_KINDS,
+    SaturationContext,
     build_recoverable_triple,
     default_beta_grid,
     full_report,
     mutual_implication_ok,
-    recovery_error,
 )
 
 SCENARIOS = ("divergence", "dpi-scan", "equality-scan", "recovery-test",
@@ -128,7 +128,7 @@ class ExperimentConfig:
         self.dims = (int(self.dims[0]), int(self.dims[1]))
         try:
             grid = tuple(as_order(a).alpha for a in self.alpha_grid)
-        except InvalidAlpha as exc:
+        except (InvalidAlpha, TypeError, ValueError) as exc:
             raise ConfigInvalid(str(exc)) from exc
         if not grid:
             raise ConfigInvalid("alpha_grid is empty")
@@ -183,14 +183,14 @@ def _dpi_rows(cfg, trial, rng):
     return rows
 
 
-def _report_rows(cfg, trial, rho_ab, sigma_ab, with_recovery: bool):
+def _report_rows(cfg, trial, rho_ab, sigma_ab):
     tol_sat = cfg.tolerances["saturation"]
     tol_dpi = cfg.tolerances["dpi"]
-    rec = recovery_error(rho_ab, sigma_ab, cfg.dims) if with_recovery else 0.0
+    ctx = SaturationContext.build(rho_ab, sigma_ab, cfg.dims)
     rows = []
     for alpha in cfg.alpha_grid:
         grid = cfg.beta_grid or default_beta_grid(alpha)
-        report = full_report(rho_ab, sigma_ab, cfg.dims, alpha, grid)
+        report = full_report(ctx, alpha, grid)
         peak = int(np.argmax(report.t3_by_beta))
         res = report.residuals
         rows.append(ScanRow(
@@ -199,7 +199,7 @@ def _report_rows(cfg, trial, rho_ab, sigma_ab, with_recovery: bool):
             dpi_gap=res["dpi_gap"], t1=res["t1"], t1_geo=res["t1_geo"],
             t3=res["t3"], petz_beta=res["petz_beta"],
             necessary2=res["necessary2"], commutator=res["commutator"],
-            recovery_err=rec,
+            recovery_err=ctx.recovery_error,
             dpi_ok=mutual_implication_ok(report),
             saturated=res["dpi_gap"] <= tol_dpi and report.saturated(tol_sat),
         ))
@@ -210,13 +210,13 @@ def _equality_rows(cfg, trial, rng):
     dim = cfg.dims[0] * cfg.dims[1]
     rho_ab = random_density(dim, rng)
     sigma_ab = random_density(dim, rng)
-    return _report_rows(cfg, trial, rho_ab, sigma_ab, with_recovery=True)
+    return _report_rows(cfg, trial, rho_ab, sigma_ab)
 
 
 def _recovery_rows(cfg, trial, rng):
     kind = RECOVERABLE_KINDS[trial % len(RECOVERABLE_KINDS)]
     rho_ab, sigma_ab = build_recoverable_triple(kind, cfg.dims, rng)
-    return _report_rows(cfg, trial, rho_ab, sigma_ab, with_recovery=True)
+    return _report_rows(cfg, trial, rho_ab, sigma_ab)
 
 
 def _variational_rows(cfg, trial, rng):
@@ -363,15 +363,69 @@ def read_rows(path: str, fmt: str) -> list[ScanRow]:
     raise ConfigInvalid(f"format must be csv or json, got {fmt!r}")
 
 
+def _listed(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} entries must be numbers, got {value!r}")
+    return value
+
+
+def _complex_pair(value) -> complex:
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"beta_grid entries must be [re, im] pairs, got {value!r}")
+    return complex(_number(value[0], "beta_grid"), _number(value[1], "beta_grid"))
+
+
+def _dims_flag(text: str) -> tuple[int, int]:
+    try:
+        d_a, d_b = (int(part) for part in text.split("x"))
+    except ValueError as exc:
+        raise ConfigInvalid(f"dims must look like 2x2, got {text!r}") from exc
+    return (d_a, d_b)
+
+
+def _apply_config_file(cfg: ExperimentConfig, data: dict, seed_flag) -> None:
+    # The config file overrides flags, except for --seed.
+    if "seed" in data and seed_flag is None:
+        cfg.seed = int(data["seed"])
+    if "dims" in data:
+        cfg.dims = tuple(int(_number(d, "dims")) for d in _listed(data, "dims"))
+    if "alpha_grid" in data:
+        cfg.alpha_grid = tuple(_number(a, "alpha_grid") for a in _listed(data, "alpha_grid"))
+    if "beta_grid" in data:
+        cfg.beta_grid = tuple(_complex_pair(b) for b in _listed(data, "beta_grid"))
+    if "trials" in data:
+        cfg.trials = int(data["trials"])
+    if "tolerances" in data:
+        tol = data["tolerances"]
+        if not isinstance(tol, dict):
+            raise TypeError(f"tolerances must be a JSON object, got {type(tol).__name__}")
+        cfg.tolerances = {k: _number(v, "tolerances") for k, v in tol.items()}
+    if "restarts" in data:
+        cfg.restarts = int(data["restarts"])
+    if "rho" in data:
+        cfg.rho = matrix_from_json(data["rho"])
+    if "sigma" in data:
+        cfg.sigma = matrix_from_json(data["sigma"])
+
+
 def _load_config(args) -> tuple[ExperimentConfig, str, str | None]:
+    """Build the validated config from the flags and the optional JSON file.
+
+    Every malformed input, flag or file field, raises ConfigInvalid, so
+    the CLI exits 2 rather than with a traceback.
+    """
     cfg = ExperimentConfig(scenario=args.scenario)
     if args.trials is not None:
         cfg.trials = args.trials
     if args.dims is not None:
-        parts = args.dims.split("x")
-        if len(parts) != 2:
-            raise ConfigInvalid(f"dims must look like 2x2, got {args.dims!r}")
-        cfg.dims = (int(parts[0]), int(parts[1]))
+        cfg.dims = _dims_flag(args.dims)
     if args.seed is not None:
         cfg.seed = args.seed
     file_format, file_out = None, None
@@ -383,31 +437,20 @@ def _load_config(args) -> tuple[ExperimentConfig, str, str | None]:
             raise IoFailure(f"could not read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"config must be a JSON object, got {type(data).__name__}")
         if data.get("scenario", args.scenario) != args.scenario:
             raise ConfigInvalid(
                 f"config scenario {data['scenario']!r} contradicts subcommand {args.scenario!r}"
             )
-        # The config file overrides flags, except for --seed.
-        if "seed" in data and args.seed is None:
-            cfg.seed = int(data["seed"])
-        if "dims" in data:
-            cfg.dims = tuple(data["dims"])
-        if "alpha_grid" in data:
-            cfg.alpha_grid = tuple(data["alpha_grid"])
-        if "beta_grid" in data:
-            cfg.beta_grid = tuple(complex(b[0], b[1]) for b in data["beta_grid"])
-        if "trials" in data:
-            cfg.trials = int(data["trials"])
-        if "tolerances" in data:
-            cfg.tolerances = data["tolerances"]
-        if "restarts" in data:
-            cfg.restarts = int(data["restarts"])
-        if "rho" in data:
-            cfg.rho = matrix_from_json(data["rho"])
-        if "sigma" in data:
-            cfg.sigma = matrix_from_json(data["sigma"])
+        try:
+            _apply_config_file(cfg, data, args.seed)
+        except (TypeError, ValueError, KeyError, DimensionMismatch) as exc:
+            raise ConfigInvalid(f"malformed config: {exc}") from exc
         file_format = data.get("format")
         file_out = data.get("out")
+        if file_out is not None and not isinstance(file_out, str):
+            raise ConfigInvalid(f"out must be a path string, got {file_out!r}")
     cfg.validate()
     fmt = file_format or args.format
     out = file_out or args.out

@@ -64,8 +64,11 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     sd = positive_eig(a)
-    a_half = sd.power(0.5)
-    a_mhalf = sd.power(-0.5)
+    return _mean_from_roots(sd.power(0.5), sd.power(-0.5), b, lam)
+
+
+def _mean_from_roots(a_half: np.ndarray, a_mhalf: np.ndarray, b: np.ndarray,
+                     lam: float) -> np.ndarray:
     mid = herm_part(a_mhalf @ b @ a_mhalf)
     return herm_part(a_half @ matrix_power_psd(mid, float(lam)) @ a_half)
 
@@ -78,8 +81,20 @@ def default_beta_grid(alpha: float) -> tuple[complex, ...]:
             0.5 + 0j, 1.0 + 0j, 0.5j, 0.5 + 1j)
 
 
-def _normalized(diff: np.ndarray) -> float:
-    return frobenius(diff) / np.sqrt(diff.shape[0])
+def _normalized(diff: np.ndarray):
+    """Frobenius norm over sqrt(dim); per slice, as an array, for a stack."""
+    if diff.ndim == 2:
+        return frobenius(diff) / np.sqrt(diff.shape[0])
+    return np.array([frobenius(x) for x in diff]) / np.sqrt(diff.shape[-1])
+
+
+def _as_betas(beta) -> np.ndarray:
+    return np.atleast_1d(np.asarray(beta, dtype=complex))
+
+
+def _per_beta(values: np.ndarray, beta):
+    """The residual array for an array of betas, a float for a scalar."""
+    return values if np.ndim(beta) else float(values[0])
 
 
 def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order) -> float:
@@ -108,42 +123,50 @@ def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     """Residual of the geometric-mean saturation condition for Tr_B.
 
     rho_A #_(1/(1-a)) sigma_A^a otimes I_B against the same mean on AB.
+    The square roots of rho_A and rho_AB come from their cached eigen-data.
     """
     order = as_order(order)
     lam = 1.0 / (1.0 - order.alpha)
     a = order.alpha
     rho_a = rho_ab.reduced(dims)
     sigma_a = sigma_ab.reduced(dims)
-    lhs = np.kron(geometric_mean(rho_a.matrix, sigma_a.power(a), lam), np.eye(dims[1]))
-    rhs = geometric_mean(rho_ab.matrix, sigma_ab.power(a), lam)
+    lhs = np.kron(_mean_from_roots(rho_a.sqrt(), rho_a.power(-0.5), sigma_a.power(a), lam),
+                  np.eye(dims[1]))
+    rhs = _mean_from_roots(rho_ab.sqrt(), rho_ab.power(-0.5), sigma_ab.power(a), lam)
     return _normalized(lhs - rhs)
 
 
-def _t3_side(rho: DensityMatrix, sigma: DensityMatrix, alpha: float, beta: complex) -> np.ndarray:
-    z = beta / (alpha - 1.0)
-    return sigma.power(beta) @ product_power(rho.matrix, sigma.matrix, alpha, z)
+def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alpha: float,
+               betas: np.ndarray) -> np.ndarray:
+    # Stack of sigma^beta (rho sigma^-a)^(beta/(a-1)) over the betas;
+    # product_power diagonalizes sigma^(-a/2) rho sigma^(-a/2) once for all.
+    # The exponents are Python complex quotients: numpy's complex divide
+    # multiplies by a reciprocal, which can move the last bit and with it
+    # the argmax over roundoff-level residuals on saturating triples.
+    z = np.array([b / (alpha - 1.0) for b in betas.tolist()], dtype=complex)
+    return sigma.spectral.power(betas) @ product_power(rho.matrix, sigma.matrix, alpha, z)
 
 
-def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order,
-                beta: complex) -> float:
+def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order, beta):
     """Residual of the complex-power saturation family.
 
     sigma^beta (rho sigma^-a)^(beta/(a-1)) against the adjoint channel of
     the same expression in the output states; the full family over beta in
     C characterizes saturation, and beta = -alpha recovers the adjoint-
-    channel condition of t1_residual.
+    channel condition of t1_residual. A 1-D array of betas gives the array
+    of residuals, each equal to the scalar call.
     """
     order = as_order(order)
-    beta = complex(beta)
-    lhs = _t3_side(rho, sigma, order.alpha, beta)
+    betas = _as_betas(beta)
+    lhs = _t3_family(rho, sigma, order.alpha, betas)
     out_r = ch.apply_density(rho)
     out_s = ch.apply_density(sigma)
-    rhs = ch.adjoint_apply(_t3_side(out_r, out_s, order.alpha, beta))
-    return _normalized(lhs - rhs)
+    rhs = ch.adjoint_apply(_t3_family(out_r, out_s, order.alpha, betas))
+    return _per_beta(_normalized(lhs - rhs), beta)
 
 
 def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel,
-                        order, beta: complex) -> float:
+                        order, beta):
     """Same residual with the channel routed through its Stinespring dilation.
 
     The channel acts as Tr_env[V . V^dagger] and the adjoint as
@@ -152,25 +175,27 @@ def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChann
     roundoff.
     """
     order = as_order(order)
-    beta = complex(beta)
+    betas = _as_betas(beta)
     v = stinespring_dilate(ch)
-    lhs = _t3_side(rho, sigma, order.alpha, beta)
+    lhs = _t3_family(rho, sigma, order.alpha, betas)
     out_r = DensityMatrix(v.apply(rho.matrix))
     out_s = DensityMatrix(v.apply(sigma.matrix))
-    rhs = v.adjoint_apply(_t3_side(out_r, out_s, order.alpha, beta))
-    return _normalized(lhs - rhs)
+    rhs = v.adjoint_apply(_t3_family(out_r, out_s, order.alpha, betas))
+    return _per_beta(_normalized(lhs - rhs), beta)
 
 
 def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                       dims: tuple[int, int], beta: complex) -> float:
+                       dims: tuple[int, int], beta):
     """Residual of sigma_AB^beta rho_AB^-beta = sigma_A^beta rho_A^-beta otimes I_B,
-    the relative-entropy saturation family."""
-    beta = complex(beta)
+    the relative-entropy saturation family. A 1-D array of betas gives the
+    array of residuals, each equal to the scalar call."""
+    betas = _as_betas(beta)
     rho_a = rho_ab.reduced(dims)
     sigma_a = sigma_ab.reduced(dims)
-    lhs = sigma_ab.power(beta) @ rho_ab.power(-beta)
-    rhs = np.kron(sigma_a.power(beta) @ rho_a.power(-beta), np.eye(dims[1]))
-    return _normalized(lhs - rhs)
+    lhs = sigma_ab.spectral.power(betas) @ rho_ab.spectral.power(-betas)
+    rhs = np.kron(sigma_a.spectral.power(betas) @ rho_a.spectral.power(-betas),
+                  np.eye(dims[1]))
+    return _per_beta(_normalized(lhs - rhs), beta)
 
 
 def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.ndarray:
@@ -377,23 +402,54 @@ class ResidualReport:
         return out
 
 
-def full_report(rho_ab: DensityMatrix, sigma_ab: DensityMatrix, dims: tuple[int, int],
-                order, beta_grid=None) -> ResidualReport:
+@dataclass(frozen=True, eq=False)
+class SaturationContext:
+    """The alpha-independent part of the diagnostics of one triple
+    (rho_AB, sigma_AB, Tr_B), computed once by `build`.
+
+    channel is Tr_B; its outputs are the states' cached reduced states, so
+    no residual rebuilds them. compression is the isometry U of the
+    split, commutator the Jensen commutator norm divided by d_A * d_B,
+    and recovery_error the Petz recovery error from the reduced state.
+    """
+
+    rho_ab: DensityMatrix
+    sigma_ab: DensityMatrix
+    dims: tuple[int, int]
+    channel: KrausChannel
+    compression: CompressionIsometry
+    commutator: float
+    recovery_error: float
+
+    @classmethod
+    def build(cls, rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
+              dims: tuple[int, int]) -> "SaturationContext":
+        dims = (int(dims[0]), int(dims[1]))
+        ci = CompressionIsometry(rho_ab, *dims)
+        commutator = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
+        return cls(rho_ab=rho_ab, sigma_ab=sigma_ab, dims=dims,
+                   channel=partial_trace_channel(*dims), compression=ci,
+                   commutator=commutator / (dims[0] * dims[1]),
+                   recovery_error=recovery_error(rho_ab, sigma_ab, dims))
+
+
+def full_report(ctx: SaturationContext, order, beta_grid=None) -> ResidualReport:
     """All saturation diagnostics for a partial-trace triple at one order.
 
     Bundles the divergence gap with every equality-condition residual over
     the beta grid; on a saturating triple all entries sit at roundoff,
     and on a generic triple the gap and the residuals are jointly positive.
+    Only the per-order work happens here: the alpha-independent entries
+    come from the context, and each beta family is one vectorized call.
     """
     order = as_order(order)
     if beta_grid is None:
         beta_grid = default_beta_grid(order.alpha)
     beta_grid = tuple(complex(b) for b in beta_grid)
-    ch = partial_trace_channel(*dims)
-    t3_vals = tuple(t3_residual(rho_ab, sigma_ab, ch, order, b) for b in beta_grid)
-    pb_vals = tuple(petz_beta_residual(rho_ab, sigma_ab, dims, b) for b in beta_grid)
-    ci = CompressionIsometry(rho_ab, *dims)
-    dop = RelativeModularOperator(sigma_ab, rho_ab)
+    betas = np.array(beta_grid, dtype=complex)
+    rho_ab, sigma_ab, dims, ch = ctx.rho_ab, ctx.sigma_ab, ctx.dims, ctx.channel
+    t3_vals = tuple(t3_residual(rho_ab, sigma_ab, ch, order, betas).tolist())
+    pb_vals = tuple(petz_beta_residual(rho_ab, sigma_ab, dims, betas).tolist())
     residuals = {
         "t1": t1_residual(rho_ab, sigma_ab, ch, order),
         "t1_geo": t1_geo_residual(rho_ab, sigma_ab, dims, order),
@@ -401,7 +457,7 @@ def full_report(rho_ab: DensityMatrix, sigma_ab: DensityMatrix, dims: tuple[int,
         "petz_beta": max(pb_vals),
         "necessary1": necessary1_residual(rho_ab, sigma_ab, dims, order),
         "necessary2": necessary2_residual(rho_ab, sigma_ab, dims),
-        "commutator": jensen_commutator_norm(ci, dop) / (dims[0] * dims[1]),
+        "commutator": ctx.commutator,
         "dpi_gap": max(dpi_gap(rho_ab, sigma_ab, ch, order), 0.0),
     }
     return ResidualReport(alpha=order.alpha, beta_grid=beta_grid, residuals=residuals,

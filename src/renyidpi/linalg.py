@@ -101,17 +101,34 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
 
-    def power(self, z: complex) -> np.ndarray:
+    def power(self, z) -> np.ndarray:
         """Principal power V diag(lambda^z) V^dagger with lambda^z = exp(z ln lambda).
 
         Complex exponents are allowed; the result is re-Hermitized when z
-        is real, and z = 0 gives the identity.
+        is real, and z = 0 gives the identity. A 1-D array of exponents
+        gives the stack of those powers, shape (len(z), d, d), each slice
+        equal to the scalar call.
         """
+        if isinstance(z, np.ndarray) and z.ndim:
+            return self._power_stack(z)
         if complex(z) == 0.0:
             return np.eye(len(self.eigenvalues), dtype=complex)
         out = self.apply(lambda w: np.power(w.astype(complex), z))
         if complex(z).imag == 0.0:
             out = herm_part(out)
+        return out
+
+    def _power_stack(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        if z.ndim != 1:
+            raise ValueError(f"exponents must form a 1-D array, got shape {z.shape}")
+        v = self.eigenvectors
+        spectra = np.power(self.eigenvalues.astype(complex), z[:, None])
+        out = (v * spectra[:, None, :]) @ dagger(v)
+        real = z.imag == 0.0
+        block = out[real]
+        out[real] = 0.5 * (block + block.conj().swapaxes(-1, -2))
+        out[z == 0.0] = np.eye(len(self.eigenvalues))
         return out
 
 
@@ -143,15 +160,16 @@ def positive_eig(m: np.ndarray) -> SpectralDecomposition:
     return sd
 
 
-def matrix_power_psd(m: np.ndarray, z: complex) -> np.ndarray:
+def matrix_power_psd(m: np.ndarray, z) -> np.ndarray:
     """Principal power m^z of a strictly positive Hermitian matrix.
 
-    See SpectralDecomposition.power for the exponent conventions.
+    See SpectralDecomposition.power for the exponent conventions; a 1-D
+    array of exponents gives a stack of powers from one eigensolve.
     """
     return positive_eig(m).power(z)
 
 
-def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: complex) -> np.ndarray:
+def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z) -> np.ndarray:
     """Principal power (rho sigma^-alpha)^z for strictly positive rho, sigma.
 
     The product rho sigma^-alpha is not Hermitian, but it is similar to the
@@ -160,7 +178,9 @@ def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: complex) 
 
         sigma^{alpha/2} (sigma^{-alpha/2} rho sigma^{-alpha/2})^z sigma^{-alpha/2}
 
-    which avoids any non-normal eigenproblem.
+    which avoids any non-normal eigenproblem. A 1-D array of exponents
+    gives the stack of powers, with one eigensolve of the middle factor
+    for all of them.
     """
     rho = _as_square(rho)
     sigma = _as_square(sigma)

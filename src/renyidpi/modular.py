@@ -45,9 +45,9 @@ class RelativeModularOperator:
         self.dim = sigma.dim
 
     def apply_power(self, z: complex, a: np.ndarray) -> np.ndarray:
-        """sigma^z a omega^-z."""
+        """sigma^z a omega^-z; a stack of operands maps slice by slice."""
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
+        if a.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"operand shape {a.shape} does not match dim {self.dim}"
             )
@@ -185,12 +185,22 @@ def jensen_commutator_norm(ci: CompressionIsometry, dop: RelativeModularOperator
     product-structured recoverable pairs satisfy it, but recoverable
     pairs without a common product structure (for instance a generic
     entangled state paired with itself) do not.
+
+    Neither d^2 x d^2 matrix is formed. Delta is Hermitian, so [P, Delta]
+    splits into the blocks (1-P) Delta P and its negative adjoint, and
+    ||[P, Delta]||_F = sqrt(2) ||Delta U - U (U^dagger Delta U)||_F, where
+    column k of Delta U is sigma K_k omega^-1 for the operator K_k whose
+    row-major vector is column k of U. The projection is subtracted
+    before the norm is taken: the equal-valued difference of squares
+    2(||Delta U||^2 - ||U^dagger Delta U||^2) cancels catastrophically
+    exactly where the commutator vanishes.
     """
     if dop.dim != ci.rho_ab.dim:
         raise DimensionMismatch("modular operator does not act on the AB space")
-    big = dop.matrix_power(1.0)
-    p = ci.projector
-    return frobenius(p @ big - big @ p)
+    u = ci.matrix
+    d = dop.dim
+    delta_u = dop.apply_power(1.0, u.T.reshape(-1, d, d)).reshape(-1, d * d).T
+    return np.sqrt(2.0) * frobenius(delta_u - u @ (dagger(u) @ delta_u))
 
 
 def compressed_power_residual(ci: CompressionIsometry, dop: RelativeModularOperator,

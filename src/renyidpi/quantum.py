@@ -115,9 +115,15 @@ def canonical_purification(rho: DensityMatrix) -> PurifiedState:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map as a family of out_dim x in_dim Kraus operators."""
+    """CPTP map as a family of out_dim x in_dim Kraus operators.
+
+    traced_dims is set only by partial_trace_channel: it marks the channel
+    as Tr_B on a space with dims (d_A, d_B), so that apply_density returns
+    the input state's cached reduced state instead of a new one.
+    """
 
     kraus_ops: tuple[np.ndarray, ...]
+    traced_dims: tuple[int, int] | None = None
 
     def __post_init__(self):
         if len(self.kraus_ops) == 0:
@@ -130,6 +136,10 @@ class KrausChannel:
         comp = sum(dagger(k) @ k for k in ops)
         if frobenius(comp - np.eye(self.in_dim)) > CHANNEL_TOL:
             raise ValueError("Kraus family is not trace preserving within tolerance")
+        if self.traced_dims is not None:
+            d_a, d_b = self.traced_dims
+            if (self.out_dim, self.in_dim) != (d_a, d_a * d_b):
+                raise DimensionMismatch(f"Kraus shapes do not match Tr_B on dims {self.traced_dims}")
 
     @property
     def in_dim(self) -> int:
@@ -149,15 +159,21 @@ class KrausChannel:
         return sum(k @ rho @ dagger(k) for k in self.kraus_ops)
 
     def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt adjoint sum_i K_i^dagger a K_i (unital)."""
+        """Hilbert-Schmidt adjoint sum_i K_i^dagger a K_i (unital).
+
+        A stack of observables, shape (k, out_dim, out_dim), maps slice by
+        slice.
+        """
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.out_dim, self.out_dim):
+        if a.shape[-2:] != (self.out_dim, self.out_dim):
             raise DimensionMismatch(
                 f"observable of side {a.shape} does not match out_dim {self.out_dim}"
             )
         return sum(dagger(k) @ a @ k for k in self.kraus_ops)
 
     def apply_density(self, rho: DensityMatrix) -> DensityMatrix:
+        if self.traced_dims is not None:
+            return rho.reduced(self.traced_dims)
         return DensityMatrix(self.apply(rho.matrix))
 
 
@@ -200,13 +216,16 @@ def identity_channel(dim: int) -> KrausChannel:
 
 
 def partial_trace_channel(d_a: int, d_b: int) -> KrausChannel:
-    """The channel Tr_B on A (x) B, with Kraus operators I_A otimes <j|."""
+    """The channel Tr_B on A (x) B, with Kraus operators I_A otimes <j|.
+
+    Its apply_density returns the cached DensityMatrix.reduced state.
+    """
     ops = []
     for j in range(d_b):
         bra = np.zeros((1, d_b), dtype=complex)
         bra[0, j] = 1.0
         ops.append(np.kron(np.eye(d_a, dtype=complex), bra))
-    return KrausChannel(tuple(ops))
+    return KrausChannel(tuple(ops), traced_dims=(int(d_a), int(d_b)))
 
 
 def stream(seed, *key) -> np.random.Generator:

@@ -44,3 +44,17 @@ def nonhermitian_power(m: np.ndarray, z: complex) -> np.ndarray:
     w, v = np.linalg.eig(m)
     assert np.all(w.real > 0) and np.abs(w.imag).max() < 1e-8 * np.abs(w.real).max()
     return v @ np.diag(np.power(w.real.astype(complex), z)) @ np.linalg.inv(v)
+
+
+def counting(monkeypatch, owner, name, record=lambda out: None) -> list:
+    """Replace owner.name by a wrapper that appends record(result) per call."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(record(out))
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -12,6 +12,7 @@ from renyidpi import (
     CompressionIsometry,
     OptimizerConfig,
     RelativeModularOperator,
+    SaturationContext,
     alpha_recover,
     build_recoverable_triple,
     closed_form_optimizer,
@@ -131,8 +132,9 @@ def test_criterion_05_saturation_equivalence():
             dims = dims_cycle[trial % 3]
             rho_ab, sigma_ab = build_recoverable_triple(kind, dims, stream(1005, k, trial))
             ch = partial_trace_channel(*dims)
+            ctx = SaturationContext.build(rho_ab, sigma_ab, dims)
             for alpha in ALPHA_GRID:
-                report = full_report(rho_ab, sigma_ab, dims, alpha)
+                report = full_report(ctx, alpha)
                 worst_res = max(worst_res, report.max_residual())
                 worst_gap = max(worst_gap, abs(dpi_gap(rho_ab, sigma_ab, ch, alpha)))
             worst_rec = max(worst_rec, recovery_error(rho_ab, sigma_ab, dims))

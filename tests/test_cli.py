@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from renyidpi import ConfigInvalid, matrix_to_json
+from renyidpi import ConfigInvalid, equality, matrix_to_json
 from renyidpi.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -13,6 +13,7 @@ from renyidpi.cli import (
     read_rows,
     run,
 )
+from helpers import counting
 
 
 class TestConfigValidation:
@@ -90,6 +91,18 @@ class TestScenarios:
         assert not summary["pass"]
         assert len(summary["errors"]) == 2
         assert all(not r.dpi_ok for r in rows)
+
+
+class TestAlphaIndependentWork:
+    def test_once_per_trial(self, monkeypatch):
+        # The compression and the commutator do not depend on alpha: one
+        # of each per trial, whatever the length of the alpha grid.
+        compressions = counting(monkeypatch, equality, "CompressionIsometry")
+        commutators = counting(monkeypatch, equality, "jensen_commutator_norm")
+        cfg = ExperimentConfig(scenario="equality-scan", seed=12, trials=3)
+        rows, _ = run(cfg)
+        assert len(cfg.alpha_grid) == 10 and len(rows) == 30
+        assert len(compressions) == len(commutators) == 3
 
 
 class TestEmit:
@@ -175,6 +188,22 @@ class TestMain:
         row_cfg = read_rows(out1, "csv")[0]
         row_flag = [r for r in read_rows(out2, "csv") if r.alpha == 0.5][0]
         assert row_cfg.dpi_gap == row_flag.dpi_gap
+
+    @pytest.mark.parametrize("config,flags", [
+        ({"alpha_grid": "abc"}, []),
+        ({"tolerances": 5}, []),
+        ({"beta_grid": [1]}, []),
+        ([0.5, 0.5], []),
+        (None, ["--dims", "2xz"]),
+    ])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
+        argv = ["equality-scan", "--trials", "1", *flags]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_config_scenario_contradiction(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

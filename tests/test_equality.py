@@ -33,8 +33,10 @@ from renyidpi import (
     t3_residual_dilated,
     trace_norm,
     ResidualReport,
+    SaturationContext,
 )
-from helpers import nonhermitian_power, rand_pd
+from renyidpi.cli import DEFAULT_ALPHA_GRID
+from helpers import counting, nonhermitian_power, rand_pd
 
 LAMBDAS = (-1.0, -0.5, 0.0, 1.0 / 3.0, 0.5, 1.0, 2.0)
 
@@ -45,23 +47,67 @@ def random_pair(dim, seed):
 
 class TestEigensolveCount:
     def test_full_report_reuses_cached_eigen_data(self, monkeypatch):
-        # Each state is diagonalized once and its powers and reduced
-        # states are cached, so a second order on the same pair needs no
-        # eigensolve of rho_AB, sigma_AB or their marginals.
+        # The context does the alpha-independent work once, the states'
+        # powers and reduced states are cached, and each beta family needs
+        # one eigensolve per side for the whole grid.
         rho, sigma = random_density(4, 11), random_density(4, 12)
-        eigh = np.linalg.eigh
-        calls = []
+        calls = counting(monkeypatch, np.linalg, "eigh")
+        ctx = SaturationContext.build(rho, sigma, (2, 2))
+        for alpha in DEFAULT_ALPHA_GRID:
+            full_report(ctx, alpha)
+        assert len(calls) / len(DEFAULT_ALPHA_GRID) <= 15
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return eigh(*args, **kwargs)
+    def test_no_superoperator_sized_kron_at_4x4(self, monkeypatch):
+        # Side 16^2 = 256 would be a materialized super-operator.
+        sides = counting(monkeypatch, np, "kron", record=lambda out: max(out.shape))
+        rho, sigma = random_density(16, 13), random_density(16, 14)
+        full_report(SaturationContext.build(rho, sigma, (4, 4)), 0.5)
+        assert sides and max(sides) < 256
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        full_report(rho, sigma, (2, 2), 0.5)
-        first = len(calls)
-        full_report(rho, sigma, (2, 2), -0.3)
-        assert first <= 66
-        assert len(calls) - first <= 64
+
+class TestVectorizedFamilies:
+    BETAS = np.array([0.0, 0.7, -0.4, 0.5j, 0.5 + 1j, -1.0])
+
+    @staticmethod
+    def triples(dims):
+        dim = dims[0] * dims[1]
+        yield random_pair(dim, 60)
+        for kind in ("product", "blocked", "conjugated-product"):
+            yield build_recoverable_triple(kind, dims, 61)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_t3_array_matches_scalar_and_dilated(self, dims):
+        ch = partial_trace_channel(*dims)
+        for rho, sigma in self.triples(dims):
+            for alpha in (-0.6, 0.4, 0.9):
+                values = t3_residual(rho, sigma, ch, alpha, self.BETAS)
+                assert values.shape == self.BETAS.shape
+                for beta, value in zip(self.BETAS, values):
+                    assert abs(value - t3_residual(rho, sigma, ch, alpha, beta)) <= 1e-12
+                    assert abs(value - t3_residual_dilated(rho, sigma, ch, alpha, beta)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_petz_beta_array_matches_scalar_formula(self, dims):
+        eye_b = np.eye(dims[1])
+        for rho, sigma in self.triples(dims):
+            rho_a = DensityMatrix(partial_trace(rho.matrix, dims, "B"))
+            sigma_a = DensityMatrix(partial_trace(sigma.matrix, dims, "B"))
+            values = petz_beta_residual(rho, sigma, dims, self.BETAS)
+            assert values.shape == self.BETAS.shape
+            for beta, value in zip(self.BETAS, values):
+                beta = complex(beta)
+                lhs = sigma.power(beta) @ rho.power(-beta)
+                rhs = np.kron(sigma_a.power(beta) @ rho_a.power(-beta), eye_b)
+                want = frobenius(lhs - rhs) / np.sqrt(rho.dim)
+                assert abs(value - want) <= 1e-12
+                assert abs(value - petz_beta_residual(rho, sigma, dims, beta)) <= 1e-12
+            assert values[0] == 0.0
+
+    def test_scalar_beta_gives_a_float(self):
+        rho, sigma = random_pair(4, 62)
+        ch = partial_trace_channel(2, 2)
+        assert isinstance(t3_residual(rho, sigma, ch, 0.5, 0.5 + 1j), float)
+        assert isinstance(petz_beta_residual(rho, sigma, (2, 2), -0.5), float)
 
 
 class TestGeometricMean:
@@ -365,8 +411,9 @@ class TestRecoverableTriples:
 class TestFullReport:
     def test_recoverable_all_below_tolerance(self):
         rho_ab, sigma_ab = build_recoverable_triple("conjugated-product", (2, 2), 48)
+        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2))
         for alpha in (-0.5, 0.5):
-            report = full_report(rho_ab, sigma_ab, (2, 2), alpha)
+            report = full_report(ctx, alpha)
             assert report.max_residual() <= 1e-8
             assert report.saturated()
             assert mutual_implication_ok(report)
@@ -374,12 +421,12 @@ class TestFullReport:
     def test_trivial_environment_is_identity_channel(self):
         # d_B = 1 turns the partial trace into the identity channel.
         rho, sigma = random_pair(3, 49)
-        report = full_report(rho, sigma, (3, 1), 0.4)
+        report = full_report(SaturationContext.build(rho, sigma, (3, 1)), 0.4)
         assert report.max_residual() <= 1e-9
 
     def test_generic_jointly_positive(self):
         rho, sigma = random_pair(4, 50)
-        report = full_report(rho, sigma, (2, 2), 0.5)
+        report = full_report(SaturationContext.build(rho, sigma, (2, 2)), 0.5)
         assert report.residuals["dpi_gap"] > 1e-4
         assert report.residuals["t3"] > 1e-4
         assert not report.saturated()
@@ -396,7 +443,7 @@ class TestFullReport:
 
     def test_json_layout(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 51)
-        report = full_report(rho_ab, sigma_ab, (2, 2), 0.3)
+        report = full_report(SaturationContext.build(rho_ab, sigma_ab, (2, 2)), 0.3)
         payload = report.to_json()
         assert payload["alpha"] == 0.3
         assert len(payload["beta_re"]) == len(payload["beta_im"]) == 9
@@ -413,8 +460,8 @@ class TestFullReport:
         # machinery must run there, but no saturation equivalence is
         # asserted at the endpoint itself.
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 52)
-        report = full_report(rho_ab, sigma_ab, (2, 2), -1.0)
+        report = full_report(SaturationContext.build(rho_ab, sigma_ab, (2, 2)), -1.0)
         assert all(np.isfinite(v) for v in report.residuals.values())
         rho, sigma = random_pair(4, 53)
-        generic = full_report(rho, sigma, (2, 2), -1.0)
+        generic = full_report(SaturationContext.build(rho, sigma, (2, 2)), -1.0)
         assert all(np.isfinite(v) for v in generic.residuals.values())

@@ -92,6 +92,20 @@ class TestMatrixPower:
         with pytest.raises(NotPositiveDefinite):
             matrix_power_psd(np.diag([1.0, -0.5]), 0.5)
 
+    def test_array_exponents_stack_the_scalar_calls(self):
+        rng = np.random.default_rng(6)
+        zs = np.array([0.0, 0.3, -1.5, 0.5j, 0.5 + 1j, -0.7, 2.0])
+        for d in (2, 3, 4):
+            sd = hermitian_eig(rand_pd(rng, d))
+            stack = sd.power(zs)
+            assert stack.shape == (len(zs), d, d)
+            for z, got in zip(zs, stack):
+                assert frobenius(got - sd.power(complex(z))) <= 1e-14 * frobenius(got)
+                if z.imag == 0.0:
+                    # Re-Hermitized exactly, as the scalar call is.
+                    assert np.array_equal(got, dagger(got))
+            assert np.array_equal(stack[0], np.eye(d))
+
 
 class TestProductPower:
     def test_equal_states_collapse(self):
@@ -124,6 +138,17 @@ class TestProductPower:
             raw = rho @ matrix_power_psd(sigma, -alpha)
             expect = nonhermitian_power(raw, z)
             assert frobenius(product_power(rho, sigma, alpha, z) - expect) <= 1e-8
+
+    def test_array_exponents_stack_the_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        rho, sigma = rand_pd(rng, 3), rand_pd(rng, 3)
+        zs = np.array([0.0, 1.0, -2.5, 0.5j, 0.3 - 1j])
+        for alpha in (0.4, -0.8):
+            stack = product_power(rho, sigma, alpha, zs)
+            assert stack.shape == (len(zs), 3, 3)
+            for z, got in zip(zs, stack):
+                want = product_power(rho, sigma, alpha, complex(z))
+                assert frobenius(got - want) <= 1e-14 * frobenius(want)
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(DimensionMismatch):

@@ -183,15 +183,28 @@ class TestJensenDiagnostics:
         # A generic entangled state paired with itself is perfectly
         # recoverable, yet the global commutator does not vanish: the
         # operator form of Jensen equality is stronger than saturation.
-        from renyidpi import full_report, recovery_error
+        from renyidpi import SaturationContext, full_report, recovery_error
 
         rho_ab = random_density(4, 51)
         assert recovery_error(rho_ab, rho_ab, (2, 2)) <= 1e-10
         ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(rho_ab, rho_ab)
         assert jensen_commutator_norm(ci, dop) > 1e-2
-        report = full_report(rho_ab, rho_ab, (2, 2), 0.5)
+        report = full_report(SaturationContext.build(rho_ab, rho_ab, (2, 2)), 0.5)
         assert report.saturated()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_commutator_matches_brute_force(self, dims):
+        # Reference: the commutator of the materialized d^2 x d^2 matrices.
+        dim = dims[0] * dims[1]
+        for seed in range(3):
+            rho_ab = random_density(dim, stream(57, seed, 0))
+            sigma_ab = random_density(dim, stream(57, seed, 1))
+            ci = CompressionIsometry(rho_ab, *dims)
+            dop = RelativeModularOperator(sigma_ab, rho_ab)
+            p, big = ci.projector, dop.matrix_power(1.0)
+            brute = frobenius(p @ big - big @ p)
+            assert abs(jensen_commutator_norm(ci, dop) - brute) <= 1e-12 * brute
 
     def test_commutator_positive_on_generic(self):
         rho_ab = random_density(4, 52)

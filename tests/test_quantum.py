@@ -91,6 +91,19 @@ class TestChannelApply:
                 assert abs(np.trace(out).real - 1.0) <= 1e-11
                 assert np.linalg.eigvalsh(0.5 * (out + dagger(out))).min() >= -1e-10
 
+    def test_partial_trace_density_is_cached_reduced_state(self):
+        rho = random_density(6, 9)
+        ch = partial_trace_channel(2, 3)
+        out = ch.apply_density(rho)
+        assert out is rho.reduced((2, 3))
+        assert np.array_equal(out.matrix, herm_part(ch.apply(rho.matrix)))
+        generic = KrausChannel(ch.kraus_ops)
+        assert np.array_equal(generic.apply_density(rho).matrix, out.matrix)
+
+    def test_traced_dims_must_match_kraus_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(partial_trace_channel(2, 3).kraus_ops, traced_dims=(3, 2))
+
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             identity_channel(2).apply(np.eye(3))
@@ -112,6 +125,15 @@ class TestAdjoint:
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         np.testing.assert_allclose(ch.adjoint_apply(a), np.kron(a, np.eye(3)), atol=1e-13)
+
+    def test_stack_maps_slice_by_slice(self):
+        ch = random_channel(3, 2, rng_seed=10)
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        out = ch.adjoint_apply(stack)
+        assert out.shape == (4, 3, 3)
+        for a, got in zip(stack, out):
+            assert frobenius(got - ch.adjoint_apply(a)) <= 1e-14 * frobenius(got)
 
     def test_duality_pairing(self):
         rng = np.random.default_rng(7)
