@@ -2,8 +2,10 @@
 
 Closed forms run through Hermitian spectral calculus. The variational
 route optimizes the modular quadratic form over states parameterized as
-G G^dagger / Tr[G G^dagger] with a multi-restart coordinate pattern
-search; the optimum is unique, so every restart lands on the same state.
+G G^dagger / Tr[G G^dagger] with a complete-poll compass search whose
+restarts run in lockstep, every poll of every restart scored by one
+batched eigensolve; the optimum is unique, so every restart lands on the
+same state.
 Integral representations of the power function provide an independent
 quadrature route to matrix powers.
 """
@@ -152,7 +154,20 @@ def closed_form_optimizer(rho: DensityMatrix, sigma: DensityMatrix, order) -> Op
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the coordinate pattern search over G."""
+    """Settings for the complete-poll compass search over G.
+
+    restarts      number of starting points: the identity, then Ginibre
+                  draws from stream(seed); they run in lockstep.
+    initial_step  poll radius at the start of each restart.
+    step_decay    factor applied to a restart's radius after a poll that
+                  finds no improving move.
+    min_step      a restart whose radius falls below this has converged.
+    max_sweeps    cap on poll iterations.
+    value_window  a restart whose score moved by less than
+    value_rtol    value_rtol * max(|score|, 1) over the last value_window
+                  polls has converged.
+    seed          seed of the restart stream.
+    """
 
     restarts: int = 8
     initial_step: float = 0.25
@@ -165,57 +180,64 @@ class OptimizerConfig:
 
 
 def _search_objective(y: np.ndarray, alpha: float):
-    # Score maximized by the search: sign(alpha) * Tr[Y omega^alpha].
+    # Score maximized by the search, sign(alpha) * Tr[Y omega^alpha] with
+    # omega = G G^dagger / Tr, for a stack of G's of shape (N, d, d): one
+    # batched eigensolve for the whole stack. A G whose omega is not
+    # positive definite scores -inf; it is masked before the power, so
+    # no floating-point warning is raised.
     sign = 1.0 if alpha > 0 else -1.0
+    eye = np.eye(y.shape[0])
 
-    def score(g: np.ndarray) -> float:
-        w = g @ dagger(g)
-        tr = np.trace(w).real
-        if tr <= 0.0 or not np.isfinite(tr):
-            return -np.inf
-        evals, vecs = np.linalg.eigh(herm_part(w / tr))
-        if evals.min() <= 0.0:
-            return -np.inf
-        diag = np.einsum("ij,jk,ki->i", dagger(vecs), y, vecs).real
-        return sign * float(np.sum(diag * evals**alpha))
+    def score(g: np.ndarray) -> np.ndarray:
+        w = np.einsum("nij,nkj->nik", g, g.conj())
+        tr = np.einsum("nii->n", w).real
+        ok = (tr > 0.0) & np.isfinite(tr)
+        w = np.where(ok[:, None, None], w / np.where(ok, tr, 1.0)[:, None, None], eye)
+        evals, vecs = np.linalg.eigh(w)
+        ok &= evals[:, 0] > 0.0
+        evals = np.where(ok[:, None], evals, 1.0)
+        diag = np.einsum("nji,jk,nki->ni", vecs.conj(), y, vecs).real
+        return np.where(ok, sign * np.sum(diag * evals**alpha, axis=1), -np.inf)
 
     return sign, score
 
 
-def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig) -> tuple[np.ndarray, float, bool]:
-    d = g0.shape[0]
-    x = np.concatenate([g0.real.reshape(-1), g0.imag.reshape(-1)])
-
-    def to_g(vec):
-        return vec[: d * d].reshape(d, d) + 1j * vec[d * d :].reshape(d, d)
-
-    best = score(to_g(x))
-    step = cfg.initial_step
-    history = [best]
-    converged = False
+def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Complete-poll compass search from each start in the stack g0, shape
+    # (R, d, d), over the real and imaginary parts of the entries of G.
+    # Each poll scores every +-step move of every unconverged restart in
+    # one call; a restart takes its best strictly improving move, the
+    # first one on ties, or else shrinks its step. Returns the final G's,
+    # their scores and the converged flags.
+    r, d = g0.shape[0], g0.shape[1]
+    units = np.eye(d * d).reshape(d * d, d, d)
+    units = np.concatenate([units, 1j * units])
+    moves = np.stack([units, -units], axis=1).reshape(-1, d, d)
+    g = g0.astype(complex)
+    best = score(g)
+    step = np.full(r, cfg.initial_step)
+    converged = np.zeros(r, dtype=bool)
+    history = [best.copy()]
     for _ in range(cfg.max_sweeps):
-        improved = False
-        for i in range(len(x)):
-            for s in (step, -step):
-                x[i] += s
-                trial = score(to_g(x))
-                if trial > best:
-                    best = trial
-                    improved = True
-                    break
-                x[i] -= s
-        if not improved:
-            step *= cfg.step_decay
-            if step < cfg.min_step:
-                converged = True
-                break
-        history.append(best)
+        idx = np.flatnonzero(~converged)
+        if idx.size == 0:
+            break
+        trial = g[idx, None] + step[idx, None, None, None] * moves
+        vals = score(trial.reshape(-1, d, d)).reshape(idx.size, len(moves))
+        pick = np.argmax(vals, axis=1)
+        top = vals[np.arange(idx.size), pick]
+        up = top > best[idx]
+        g[idx[up]] = trial[up, pick[up]]
+        best[idx[up]] = top[up]
+        stuck = idx[~up]
+        step[stuck] *= cfg.step_decay
+        converged[stuck[step[stuck] < cfg.min_step]] = True
+        history.append(best.copy())
         if len(history) > cfg.value_window:
             old = history[-cfg.value_window - 1]
-            if abs(best - old) < cfg.value_rtol * max(abs(best), 1.0):
-                converged = True
-                break
-    return to_g(x), best, converged
+            converged |= np.abs(best - old) < cfg.value_rtol * np.maximum(np.abs(best), 1.0)
+    return g, best, converged
 
 
 def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
@@ -239,20 +261,18 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
     sign, score = _search_objective(y, a)
     rng = stream(cfg.seed)
     d = rho.dim
-    best_g, best_score, any_converged = None, -np.inf, False
-    for restart in range(max(cfg.restarts, 1)):
-        g0 = np.eye(d, dtype=complex) if restart == 0 else ginibre(rng, d, d)
-        g, val, converged = _pattern_search(score, g0, cfg)
-        any_converged = any_converged or converged
-        if val > best_score:
-            best_score, best_g = val, g
-    if best_g is None or not np.isfinite(best_score):
+    starts = [np.eye(d, dtype=complex)]
+    starts += [ginibre(rng, d, d) for _ in range(max(cfg.restarts, 1) - 1)]
+    g, scores, converged = _pattern_search(score, np.stack(starts), cfg)
+    k = int(np.argmax(scores))
+    best_score = float(scores[k])
+    if not np.isfinite(best_score):
         raise NonConvergence("search produced no finite value", best_value=None)
-    if not any_converged:
+    if not converged.any():
         raise NonConvergence(
             "no restart reached the step floor", best_value=sign * best_score
         )
-    w = best_g @ dagger(best_g)
+    w = g[k] @ dagger(g[k])
     omega_hat = DensityMatrix(w / np.trace(w).real)
     return sign * best_score, omega_hat
 

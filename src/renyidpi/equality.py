@@ -138,13 +138,14 @@ def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
 
 def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alpha: float,
                betas: np.ndarray) -> np.ndarray:
-    # Stack of sigma^beta (rho sigma^-a)^(beta/(a-1)) over the betas;
-    # product_power diagonalizes sigma^(-a/2) rho sigma^(-a/2) once for all.
+    # Stack of sigma^beta (rho sigma^-a)^(beta/(a-1)) over the betas from
+    # sigma's cached eigen-data; product_power diagonalizes
+    # sigma^(-a/2) rho sigma^(-a/2) once for all.
     # The exponents are Python complex quotients: numpy's complex divide
     # multiplies by a reciprocal, which can move the last bit and with it
     # the argmax over roundoff-level residuals on saturating triples.
     z = np.array([b / (alpha - 1.0) for b in betas.tolist()], dtype=complex)
-    return sigma.spectral.power(betas) @ product_power(rho.matrix, sigma.matrix, alpha, z)
+    return sigma.spectral.power(betas) @ product_power(rho.matrix, sigma.spectral, alpha, z)
 
 
 def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order, beta):
@@ -205,7 +206,7 @@ def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.nd
     ch(rho) exactly when the data-processing inequality saturates.
     """
     try:
-        pivot = matrix_power_psd(herm_part(ch.apply(sigma.matrix)), -0.5)
+        pivot = ch.apply_density(sigma).power(-0.5)
     except NotPositiveDefinite as exc:
         raise SingularOutputState("channel output of sigma is below the positivity floor") from exc
     s_half = sigma.sqrt()

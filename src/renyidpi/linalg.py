@@ -62,12 +62,12 @@ def as_order(order) -> RenyiOrder:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose; of each slice for a stack of shape (..., n, m)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dagger) / 2."""
+    """Hermitian part (a + a^dagger) / 2, slice by slice for a stack."""
     return 0.5 * (a + dagger(a))
 
 
@@ -126,8 +126,7 @@ class SpectralDecomposition:
         spectra = np.power(self.eigenvalues.astype(complex), z[:, None])
         out = (v * spectra[:, None, :]) @ dagger(v)
         real = z.imag == 0.0
-        block = out[real]
-        out[real] = 0.5 * (block + block.conj().swapaxes(-1, -2))
+        out[real] = herm_part(out[real])
         out[z == 0.0] = np.eye(len(self.eigenvalues))
         return out
 
@@ -152,7 +151,10 @@ def positive_eig(m: np.ndarray) -> SpectralDecomposition:
 
     Raises NotPositiveDefinite when the smallest eigenvalue is below EPS_POS.
     """
-    sd = hermitian_eig(m)
+    return _above_floor(hermitian_eig(m))
+
+
+def _above_floor(sd: SpectralDecomposition) -> SpectralDecomposition:
     if sd.eigenvalues.min() < EPS_POS:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {sd.eigenvalues.min():.3e} below floor {EPS_POS:.0e}"
@@ -169,12 +171,15 @@ def matrix_power_psd(m: np.ndarray, z) -> np.ndarray:
     return positive_eig(m).power(z)
 
 
-def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z) -> np.ndarray:
+def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha: float,
+                  z) -> np.ndarray:
     """Principal power (rho sigma^-alpha)^z for strictly positive rho, sigma.
 
-    The product rho sigma^-alpha is not Hermitian, but it is similar to the
-    positive matrix sigma^{-alpha/2} rho sigma^{-alpha/2}, so the power is
-    evaluated as
+    sigma comes as its eigen-data (from positive_eig, or a DensityMatrix's
+    cached spectral), so it is never decomposed again here; it must lie
+    above the positivity floor. The product rho sigma^-alpha is not
+    Hermitian, but it is similar to the positive matrix
+    sigma^{-alpha/2} rho sigma^{-alpha/2}, so the power is evaluated as
 
         sigma^{alpha/2} (sigma^{-alpha/2} rho sigma^{-alpha/2})^z sigma^{-alpha/2}
 
@@ -183,10 +188,11 @@ def product_power(rho: np.ndarray, sigma: np.ndarray, alpha: float, z) -> np.nda
     for all of them.
     """
     rho = _as_square(rho)
-    sigma = _as_square(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    sd = positive_eig(sigma)
+    sd = _above_floor(sigma)
+    if rho.shape[0] != len(sd.eigenvalues):
+        raise DimensionMismatch(
+            f"rho side {rho.shape[0]} and sigma side {len(sd.eigenvalues)} differ"
+        )
     s_half = sd.power(alpha / 2.0)
     s_mhalf = sd.power(-alpha / 2.0)
     mid = herm_part(s_mhalf @ rho @ s_mhalf)

@@ -5,6 +5,7 @@ from renyidpi import (
     DensityMatrix,
     InvalidAlpha,
     InvalidOrder,
+    NonConvergence,
     OptimizerConfig,
     RenyiOrder,
     araki_masuda_norm,
@@ -30,7 +31,8 @@ from renyidpi import (
     variational_value,
     build_recoverable_triple,
 )
-from helpers import classical_kl, classical_renyi, diag_density, rand_probs
+from renyidpi.divergence import _search_objective
+from helpers import classical_kl, classical_renyi, counting, diag_density, rand_probs
 
 HALF_HALF = diag_density([0.5, 0.5])
 QUARTER = diag_density([0.25, 0.75])
@@ -280,6 +282,79 @@ class TestVariational:
         rho = random_density(2, 32)
         with pytest.raises(InvalidAlpha):
             variational_value(rho, rho, 1e-4)
+
+
+def scalar_search_score(y, alpha, g):
+    # One G at a time, one eigensolve per G: the reference for the
+    # stacked score.
+    sign = 1.0 if alpha > 0 else -1.0
+    w = g @ g.conj().T
+    tr = np.trace(w).real
+    if tr <= 0.0 or not np.isfinite(tr):
+        return -np.inf
+    evals, vecs = np.linalg.eigh(herm_part(w / tr))
+    if evals.min() <= 0.0:
+        return -np.inf
+    diag = np.einsum("ij,jk,ki->i", vecs.conj().T, y, vecs).real
+    return sign * float(np.sum(diag * evals**alpha))
+
+
+class TestBatchedSearch:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stacked_score_matches_scalar_formula(self):
+        rng = stream(63)
+        for d in (2, 3):
+            rho, sigma = random_density(d, rng), random_density(d, rng)
+            singular = np.diag([1.0] * (d - 1) + [0.0]).astype(complex)
+            gs = np.stack([np.eye(d, dtype=complex), singular, np.zeros((d, d), complex)]
+                          + [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                             for _ in range(8)])
+            for alpha in (0.6, -0.4):
+                y = herm_part(rho.sqrt() @ sigma.power(-alpha) @ rho.sqrt())
+                _, score = _search_objective(y, alpha)
+                got = score(gs)
+                want = np.array([scalar_search_score(y, alpha, g) for g in gs])
+                assert got.shape == (len(gs),)
+                assert np.all(np.isneginf(got[1:3])) and np.all(np.isneginf(want[1:3]))
+                np.testing.assert_allclose(got[[0, *range(3, len(gs))]],
+                                           want[[0, *range(3, len(gs))]], rtol=1e-12)
+
+    def test_one_batched_eigensolve_per_poll(self, monkeypatch):
+        # The opportunistic coordinate poll made ~3,000 eigensolves per
+        # d=2 solve, one per probe.
+        cfg = OptimizerConfig(restarts=4, seed=0)
+        for seed in range(3):
+            rho = random_density(2, stream(64, seed))
+            sigma = random_density(2, stream(65, seed))
+            for alpha in (0.5, -0.3):
+                calls = counting(monkeypatch, np.linalg, "eigh")
+                variational_value(rho, sigma, alpha, cfg)
+                monkeypatch.undo()
+                assert len(calls) <= 150
+
+    def test_poll_cap_raises_with_best_value(self):
+        rho, sigma = random_density(2, 66), random_density(2, 67)
+        for alpha in (0.4, -0.7):
+            closed = closed_form_optimizer(rho, sigma, alpha).value
+            with pytest.raises(NonConvergence) as info:
+                variational_value(rho, sigma, alpha, OptimizerConfig(restarts=4, max_sweeps=1))
+            best = info.value.best_value
+            assert best is not None and np.isfinite(best)
+            # One poll cannot beat the unique optimum.
+            assert (best <= closed + 1e-12) if alpha > 0 else (best >= closed - 1e-12)
+
+    def test_matches_closed_form_at_d3(self):
+        cfg = OptimizerConfig(restarts=4, seed=3)
+        for seed in range(2):
+            rho = random_density(3, stream(68, seed))
+            sigma = random_density(3, stream(69, seed))
+            for alpha in (-0.8, -0.2, 0.4, 0.7):
+                # closed_form_optimizer raises unless omega_* is above the
+                # positivity floor at these alphas.
+                closed = closed_form_optimizer(rho, sigma, alpha)
+                value, omega = variational_value(rho, sigma, alpha, cfg)
+                assert abs(value - closed.value) <= 1e-6
+                assert trace_distance(omega.matrix, closed.omega_star.matrix) <= 1e-4
 
 
 class TestDpiGap:

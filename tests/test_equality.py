@@ -48,14 +48,24 @@ def random_pair(dim, seed):
 class TestEigensolveCount:
     def test_full_report_reuses_cached_eigen_data(self, monkeypatch):
         # The context does the alpha-independent work once, the states'
-        # powers and reduced states are cached, and each beta family needs
-        # one eigensolve per side for the whole grid.
+        # powers, eigen-data and reduced states are cached, and each beta
+        # family needs one eigensolve per side for the whole grid.
         rho, sigma = random_density(4, 11), random_density(4, 12)
         calls = counting(monkeypatch, np.linalg, "eigh")
         ctx = SaturationContext.build(rho, sigma, (2, 2))
         for alpha in DEFAULT_ALPHA_GRID:
             full_report(ctx, alpha)
-        assert len(calls) / len(DEFAULT_ALPHA_GRID) <= 15
+        assert len(calls) / len(DEFAULT_ALPHA_GRID) <= 6.4
+
+    def test_recovery_error_reuses_the_reduced_state(self, monkeypatch):
+        # The certificate of a recoverable triple builds Tr_B(sigma_AB)
+        # once; recomputing the recovery error, as the context does,
+        # needs no further eigensolve.
+        rho_ab, sigma_ab = build_recoverable_triple("blocked", (2, 2), 62)
+        calls = counting(monkeypatch, np.linalg, "eigh")
+        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2))
+        assert ctx.recovery_error == recovery_error(rho_ab, sigma_ab, (2, 2))
+        assert calls == []
 
     def test_no_superoperator_sized_kron_at_4x4(self, monkeypatch):
         # Side 16^2 = 256 would be a materialized super-operator.

@@ -112,7 +112,7 @@ class TestProductPower:
         rng = np.random.default_rng(3)
         sigma = rand_pd(rng, 3)
         for alpha, z in ((0.4, 0.7), (-0.6, 2.0), (0.9, -1.0 + 0.5j)):
-            out = product_power(sigma, sigma, alpha, z)
+            out = product_power(sigma, hermitian_eig(sigma), alpha, z)
             expect = matrix_power_psd(sigma, (1.0 - alpha) * z)
             assert frobenius(out - expect) <= 1e-9
 
@@ -120,13 +120,13 @@ class TestProductPower:
         rng = np.random.default_rng(4)
         rho, sigma = rand_pd(rng, 3), rand_pd(rng, 3)
         direct = rho @ matrix_power_psd(sigma, -0.3)
-        assert frobenius(product_power(rho, sigma, 0.3, 1.0) - direct) <= 1e-10
+        assert frobenius(product_power(rho, hermitian_eig(sigma), 0.3, 1.0) - direct) <= 1e-10
 
     def test_diagonal_scalar_formula(self):
         p = np.array([0.2, 0.5, 0.3])
         q = np.array([0.6, 0.1, 0.3])
         alpha, z = 0.35, -0.8
-        out = product_power(np.diag(p), np.diag(q), alpha, z)
+        out = product_power(np.diag(p), hermitian_eig(np.diag(q)), alpha, z)
         np.testing.assert_allclose(np.diag(out), (p * q**-alpha) ** z, atol=1e-12)
 
     def test_against_nonhermitian_eig(self):
@@ -137,22 +137,26 @@ class TestProductPower:
             alpha, z = rng.uniform(-0.9, 0.9), rng.uniform(-2.0, 2.0)
             raw = rho @ matrix_power_psd(sigma, -alpha)
             expect = nonhermitian_power(raw, z)
-            assert frobenius(product_power(rho, sigma, alpha, z) - expect) <= 1e-8
+            assert frobenius(product_power(rho, hermitian_eig(sigma), alpha, z) - expect) <= 1e-8
 
     def test_array_exponents_stack_the_scalar_calls(self):
         rng = np.random.default_rng(7)
-        rho, sigma = rand_pd(rng, 3), rand_pd(rng, 3)
+        rho, sd = rand_pd(rng, 3), hermitian_eig(rand_pd(rng, 3))
         zs = np.array([0.0, 1.0, -2.5, 0.5j, 0.3 - 1j])
         for alpha in (0.4, -0.8):
-            stack = product_power(rho, sigma, alpha, zs)
+            stack = product_power(rho, sd, alpha, zs)
             assert stack.shape == (len(zs), 3, 3)
             for z, got in zip(zs, stack):
-                want = product_power(rho, sigma, alpha, complex(z))
+                want = product_power(rho, sd, alpha, complex(z))
                 assert frobenius(got - want) <= 1e-14 * frobenius(want)
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(DimensionMismatch):
-            product_power(np.eye(2), np.eye(3), 0.5, 1.0)
+            product_power(np.eye(2), hermitian_eig(np.eye(3)), 0.5, 1.0)
+
+    def test_rejects_sigma_below_floor(self):
+        with pytest.raises(NotPositiveDefinite):
+            product_power(np.eye(2), hermitian_eig(np.diag([1.0, 0.0])), 0.5, 1.0)
 
 
 class TestPartialTrace:
