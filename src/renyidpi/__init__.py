@@ -73,7 +73,6 @@ from .modular import (
 from .divergence import (
     OptimizerConfig,
     OptimizerResult,
-    QuadratureConfig,
     RenyiOrder,
     araki_masuda_norm,
     as_order,

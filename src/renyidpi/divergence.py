@@ -7,7 +7,10 @@ restarts run in lockstep, every poll of every restart scored by one
 batched eigensolve; the optimum is unique, so every restart lands on the
 same state.
 Integral representations of the power function provide an independent
-quadrature route to matrix powers.
+quadrature route to matrix powers: the trapezoid rule in v after the
+double-exponential substitution t = e^u, u = (pi/2) sinh v, with step
+0.07 and a range derived from alpha, all resolvents in one stacked solve
+(Hale, Higham and Trefethen 2008; Tatsuoka, Sogabe, Miyatake, Zhang 2021).
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ NEAR_EQUAL_TOL = 1e-12
 # [-1,0) u (0,1) interval.
 ALPHA_VARIATIONAL_MIN = 1e-3
 
+# Double-exponential rule of integral_power_quadrature: the trapezoid step
+# in v, and the range cut where the integrand has decayed by e^-QUAD_TAIL.
+QUAD_STEP = 0.07
+QUAD_TAIL = 45.0
+
 
 def _check_pair(rho: DensityMatrix, sigma: DensityMatrix):
     if rho.dim != sigma.dim:
@@ -66,8 +74,10 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order) -> float:
         return 0.0
     a = order.alpha
     y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
-    w = np.linalg.eigvalsh(y)
-    return float((1.0 - a) / a * np.log(np.sum(w ** (1.0 / (1.0 - a)))))
+    # Scaled by the top eigenvalue: w ** n overflows as alpha -> 1.
+    w = np.maximum(np.linalg.eigvalsh(y), 0.0)
+    n = 1.0 / (1.0 - a)
+    return float((1.0 - a) / a * (n * np.log(w[-1]) + np.log(np.sum((w / w[-1]) ** n))))
 
 
 def petz_renyi(rho: DensityMatrix, sigma: DensityMatrix, order) -> float:
@@ -286,62 +296,49 @@ def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order) -
     return before - after
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Gauss-Legendre node count per smooth piece of the power integral."""
-
-    nodes: int = 200
-
-
-def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def integral_power_quadrature(m: np.ndarray, alpha: float,
-                              cfg: QuadratureConfig | None = None) -> np.ndarray:
+def integral_power_quadrature(m: np.ndarray, alpha: float) -> np.ndarray:
     """Matrix power m^alpha via the resolvent integral representation.
 
-    The half-line integral is split at t = 1 and each piece is mapped to
-    (0,1) with a power-law substitution that absorbs the t^alpha endpoint
-    singularity, leaving smooth integrands for Gauss-Legendre. Only
-    resolvent solves appear, so the route is independent of the spectral
-    power.
+    With t = e^u in the Stieltjes representations, b = alpha for alpha > 0
+    and b = alpha + 1 for alpha < 0,
+        m^alpha = sin(pi b)/pi * int e^(b u) (e^u I + m)^-1 r du,
+    where r = m for alpha > 0 and r = I for alpha < 0. The double-
+    exponential substitution u = (pi/2) sinh v is applied and the
+    trapezoid rule with step QUAD_STEP runs over |v| <= asinh(QUAD_TAIL /
+    (c pi/2)), c = min(b, 1-b) being the decay rate of the integrand in u:
+    137 nodes at alpha = +-0.5, 315 at +-0.999. Every node is solved in
+    one stacked np.linalg.solve of e^-max(u,0) (e^u I + m) X = r, whose
+    entries stay bounded; the scale factor goes into log-domain weights,
+    so nothing overflows. Only resolvent solves appear, so the route is
+    independent of the spectral power. Relative error is ~1e-14 for
+    condition numbers up to 1e2, ~2e-10 at 1e5 and ~5e-6 at 1e9.
+    References: Hale, Higham and Trefethen, SIAM J. Numer. Anal. 2008;
+    Tatsuoka, Sogabe, Miyatake and Zhang, ETNA 2021.
     """
     alpha = float(alpha)
     if not (-1.0 < alpha < 0.0 or 0.0 < alpha < 1.0):
         raise InvalidAlpha(f"integral representation needs alpha in (-1,0) or (0,1), got {alpha}")
-    cfg = cfg or QuadratureConfig()
     m = herm_part(np.asarray(m, dtype=complex))
-    d = m.shape[0]
-    eye = np.eye(d, dtype=complex)
-    s, w = _gauss01(cfg.nodes)
-    acc = np.zeros_like(m)
-    if alpha > 0.0:
-        # x^alpha = sin(pi a)/pi * int_0^inf t^(a-1) x (t+x)^-1 dt
-        for si, wi in zip(s, w):
-            t = si ** (1.0 / alpha)
-            acc += (wi / alpha) * (m @ np.linalg.inv(t * eye + m))
-        for si, wi in zip(s, w):
-            v = si ** (1.0 / (1.0 - alpha))
-            acc += (wi / (1.0 - alpha)) * (m @ np.linalg.inv(eye + v * m))
-        acc *= np.sin(np.pi * alpha) / np.pi
-    else:
-        # x^alpha = -sin(pi a)/pi * int_0^inf t^a (t+x)^-1 dt
-        for si, wi in zip(s, w):
-            t = si ** (1.0 / (1.0 + alpha))
-            acc += (wi / (1.0 + alpha)) * np.linalg.inv(t * eye + m)
-        for si, wi in zip(s, w):
-            v = si ** (-1.0 / alpha)
-            acc += (wi / (-alpha)) * np.linalg.inv(eye + v * m)
-        acc *= -np.sin(np.pi * alpha) / np.pi
+    eye = np.eye(m.shape[0])
+    b = alpha if alpha > 0.0 else alpha + 1.0
+    k = np.ceil(np.arcsinh(QUAD_TAIL / (0.5 * np.pi * min(b, 1.0 - b))) / QUAD_STEP)
+    v = QUAD_STEP * np.arange(-k, k + 1)
+    u = 0.5 * np.pi * np.sinh(v)
+    up = np.maximum(u, 0.0)
+    resolvent = np.exp(u - up)[:, None, None] * eye + np.exp(-up)[:, None, None] * m
+    rhs = np.broadcast_to(m if alpha > 0.0 else eye, resolvent.shape)
+    log_w = np.log(0.5 * QUAD_STEP * np.sin(np.pi * b) * np.cosh(v)) + b * u - up
+    try:
+        x = np.linalg.solve(resolvent, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureFailure(f"singular resolvent: {exc}") from exc
+    acc = np.einsum("n,nij->ij", np.exp(log_w), x)
     if not np.all(np.isfinite(acc)):
         raise QuadratureFailure("quadrature produced non-finite entries")
     return herm_part(acc)
 
 
-def integral_representation_check(m: np.ndarray, alpha: float,
-                                  cfg: QuadratureConfig | None = None) -> float:
+def integral_representation_check(m: np.ndarray, alpha: float) -> float:
     """Frobenius distance between the quadrature power and the spectral power."""
-    quad = integral_power_quadrature(m, alpha, cfg)
+    quad = integral_power_quadrature(m, alpha)
     return frobenius(quad - matrix_power_psd(m, alpha))

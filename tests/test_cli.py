@@ -71,6 +71,10 @@ class TestScenarios:
             scenario="integral-check", seed=5, trials=2, alpha_grid=(0.25, -0.75)))
         assert summary["pass"]
 
+    def test_integral_check_seed_111(self):
+        # Trial 1 is the matrix with eigenvalues 5.1e-5 and 2.0.
+        assert main(["integral-check", "--seed", "111"]) == 0
+
     def test_divergence_user_states_match_classical(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         sigma = np.diag([0.25, 0.75]).astype(complex)

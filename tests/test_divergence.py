@@ -7,6 +7,7 @@ from renyidpi import (
     InvalidOrder,
     NonConvergence,
     OptimizerConfig,
+    QuadratureFailure,
     RenyiOrder,
     araki_masuda_norm,
     closed_form_optimizer,
@@ -31,6 +32,7 @@ from renyidpi import (
     variational_value,
     build_recoverable_triple,
 )
+from renyidpi.cli import DEFAULT_ALPHA_GRID
 from renyidpi.divergence import _search_objective
 from helpers import classical_kl, classical_renyi, counting, diag_density, rand_probs
 
@@ -77,6 +79,27 @@ class TestSandwiched:
             alpha = rng.choice([-0.9, -0.5, -0.2, 0.2, 0.5, 0.9])
             got = sandwiched_renyi(diag_density(p), diag_density(q), alpha)
             assert abs(got - classical_renyi(p, q, 1.0 / (1.0 - alpha))) <= 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [0.999, -0.999])
+    def test_finite_near_alpha_one(self, alpha):
+        # Unscaled, w ** (1/(1-alpha)) overflows to inf at 0.999 on most of these.
+        for seed in range(50):
+            rho = random_density(2, stream(seed, 0))
+            sigma = random_density(2, stream(seed, 1))
+            assert np.isfinite(sandwiched_renyi(rho, sigma, alpha))
+            assert np.isfinite(dpi_gap(rho, sigma, random_channel(2, 2, rng_seed=seed), alpha))
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.99, -0.999])
+    def test_classical_reduction_near_alpha_one(self, alpha):
+        # Log-domain classical Renyi divergence of order n: p**n overflows.
+        rng = np.random.default_rng(3)
+        n = 1.0 / (1.0 - alpha)
+        for trial in range(20):
+            p, q = rand_probs(rng, 3), rand_probs(rng, 3)
+            expect = np.logaddexp.reduce(n * np.log(p) + (1.0 - n) * np.log(q)) / (n - 1.0)
+            got = sandwiched_renyi(diag_density(p), diag_density(q), alpha)
+            assert abs(got - expect) <= 1e-10
 
 
 class TestPetz:
@@ -463,3 +486,43 @@ class TestIntegralRepresentation:
     def test_rejects_endpoint_alpha(self):
         with pytest.raises(InvalidAlpha):
             integral_power_quadrature(np.eye(2), -1.0)
+
+    def test_seed_111_matrix(self):
+        # Eigenvalues 5.1e-5 and 2.0: Gauss-Legendre left residuals up to 2.9e-4.
+        m = random_density(2, stream(111, 1)).matrix * 2
+        for alpha in DEFAULT_ALPHA_GRID:
+            assert integral_representation_check(m, alpha) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.001, -0.001, 0.01, -0.01, 0.99, -0.99, 0.999, -0.999])
+    def test_extreme_alpha_relative_error(self, alpha):
+        for seed in range(5):
+            m = random_density(3, stream(47, seed)).matrix * 3.0
+            ref = matrix_power_psd(m, alpha)
+            assert frobenius(integral_power_quadrature(m, alpha) - ref) <= 1e-12 * frobenius(ref)
+
+    def test_one_stacked_solve_per_call(self, monkeypatch):
+        m = random_density(3, stream(47, 0)).matrix * 3.0
+        solves = counting(monkeypatch, np.linalg, "solve")
+        invs = counting(monkeypatch, np.linalg, "inv")
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        for calls, alpha in enumerate((0.3, -0.7), start=1):
+            integral_power_quadrature(m, alpha)
+            assert (len(solves), len(invs), len(eighs)) == (calls, 0, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e9])
+    def test_ill_conditioned_finite_or_typed(self, cond):
+        for d in (2, 3, 4):
+            u = random_unitary(d, stream(48, d))
+            m = (u * np.geomspace(1.0, 1.0 / cond, d)) @ u.conj().T
+            for alpha in (-0.999, -0.5, -0.001, 0.001, 0.5, 0.999):
+                try:
+                    out = integral_power_quadrature(m, alpha)
+                except QuadratureFailure:
+                    continue
+                assert np.all(np.isfinite(out))
+
+    def test_singular_resolvent_is_typed(self):
+        # At alpha = 0.999 the far nodes underflow e^u to 0, leaving m itself.
+        with pytest.raises(QuadratureFailure):
+            integral_power_quadrature(np.diag([1.0, 0.0]), 0.999)
