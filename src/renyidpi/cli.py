@@ -45,7 +45,6 @@ from .equality import (
     RECOVERABLE_KINDS,
     SaturationContext,
     build_recoverable_triple,
-    default_beta_grid,
     full_report,
     mutual_implication_ok,
 )
@@ -186,11 +185,12 @@ def _dpi_rows(cfg, trial, rng):
 def _report_rows(cfg, trial, rho_ab, sigma_ab):
     tol_sat = cfg.tolerances["saturation"]
     tol_dpi = cfg.tolerances["dpi"]
-    ctx = SaturationContext.build(rho_ab, sigma_ab, cfg.dims)
+    # An empty beta_grid, like None, means each order's default grid.
+    ctx = SaturationContext.build(rho_ab, sigma_ab, cfg.dims, cfg.alpha_grid,
+                                  cfg.beta_grid or None)
     rows = []
     for alpha in cfg.alpha_grid:
-        grid = cfg.beta_grid or default_beta_grid(alpha)
-        report = full_report(ctx, alpha, grid)
+        report = full_report(ctx, alpha)
         peak = int(np.argmax(report.t3_by_beta))
         res = report.residuals
         rows.append(ScanRow(

@@ -33,6 +33,7 @@ from .linalg import (  # RenyiOrder is re-exported from here
     frobenius,
     herm_part,
     matrix_power_psd,
+    order_array,
     vectorize,
 )
 from .modular import RelativeModularOperator, quadratic_form
@@ -61,21 +62,32 @@ def _states_equal(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
     return frobenius(rho.matrix - sigma.matrix) < NEAR_EQUAL_TOL
 
 
-def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order) -> float:
+def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
     """Sandwiched Renyi divergence, in nats.
 
     ((1-alpha)/alpha) log Tr (rho^(1/2) sigma^-alpha rho^(1/2))^(1/(1-alpha)).
     On commuting inputs this is the classical Renyi divergence of order
-    n = 1/(1-alpha).
+    n = 1/(1-alpha). A 1-D array of orders gives the array of divergences
+    from one batched eigensolve, each equal to the scalar call.
     """
-    order = as_order(order)
+    a = order_array(order)
     _check_pair(rho, sigma)
     if _states_equal(rho, sigma):
-        return 0.0
-    a = order.alpha
+        return np.zeros(a.shape) if a.ndim else 0.0
     y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
-    # Scaled by the top eigenvalue: w ** n overflows as alpha -> 1.
     w = np.maximum(np.linalg.eigvalsh(y), 0.0)
+    # The closing sum runs one order at a time, on Python floats: numpy
+    # evaluates a scalar exponent of 2 or 1/2 as a square or a square
+    # root, which an array of exponents does not reproduce bit for bit.
+    if not a.ndim:
+        return _sandwiched_from_spectrum(w, float(a))
+    return np.array([_sandwiched_from_spectrum(row, alpha) for row, alpha in zip(w, a.tolist())])
+
+
+def _sandwiched_from_spectrum(w: np.ndarray, a: float) -> float:
+    # ((1-a)/a) log sum w^n, n = 1/(1-a), over the clamped eigenvalues w of
+    # rho^(1/2) sigma^-a rho^(1/2); scaled by the top eigenvalue, since
+    # w ** n overflows as alpha -> 1.
     n = 1.0 / (1.0 - a)
     return float((1.0 - a) / a * (n * np.log(w[-1]) + np.log(np.sum((w / w[-1]) ** n))))
 
@@ -129,8 +141,10 @@ def araki_masuda_norm(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> flo
         raise InvalidOrder(f"order must lie in [1,2) or (2,inf), got {p}")
     _check_pair(rho, sigma)
     y = herm_part(rho.sqrt() @ sigma.power(2.0 / p - 1.0) @ rho.sqrt())
-    w = np.linalg.eigvalsh(y)
-    return float(np.sum(w ** (p / 2.0)) ** (1.0 / p))
+    # Scaled by the top eigenvalue, as in sandwiched_renyi: w ** (p/2)
+    # overflows for the large p of orders near alpha = 1.
+    w = np.maximum(np.linalg.eigvalsh(y), 0.0)
+    return float(np.sqrt(w[-1]) * np.sum((w / w[-1]) ** (p / 2.0)) ** (1.0 / p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,9 +301,10 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
     return sign * best_score, omega_hat
 
 
-def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order) -> float:
-    """Data-processing gap D(rho||sigma) - D(ch rho||ch sigma), >= 0 up to roundoff."""
-    order = as_order(order)
+def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):
+    """Data-processing gap D(rho||sigma) - D(ch rho||ch sigma), >= 0 up to
+    roundoff; an array of gaps for a 1-D array of orders."""
+    order = order_array(order)
     _check_pair(rho, sigma)
     before = sandwiched_renyi(rho, sigma, order)
     after = sandwiched_renyi(ch.apply_density(rho), ch.apply_density(sigma), order)
@@ -309,8 +324,11 @@ def integral_power_quadrature(m: np.ndarray, alpha: float) -> np.ndarray:
     137 nodes at alpha = +-0.5, 315 at +-0.999. Every node is solved in
     one stacked np.linalg.solve of e^-max(u,0) (e^u I + m) X = r, whose
     entries stay bounded; the scale factor goes into log-domain weights,
-    so nothing overflows. Only resolvent solves appear, so the route is
-    independent of the spectral power. Relative error is ~1e-14 for
+    so nothing overflows. m must be positive definite: a Cholesky
+    factorization of its Hermitian part checks that up front and raises
+    QuadratureFailure otherwise. Only resolvent solves and that
+    factorization appear, so the route is independent of the spectral
+    power. Relative error is ~1e-14 for
     condition numbers up to 1e2, ~2e-10 at 1e5 and ~5e-6 at 1e9.
     References: Hale, Higham and Trefethen, SIAM J. Numer. Anal. 2008;
     Tatsuoka, Sogabe, Miyatake and Zhang, ETNA 2021.
@@ -319,6 +337,10 @@ def integral_power_quadrature(m: np.ndarray, alpha: float) -> np.ndarray:
     if not (-1.0 < alpha < 0.0 or 0.0 < alpha < 1.0):
         raise InvalidAlpha(f"integral representation needs alpha in (-1,0) or (0,1), got {alpha}")
     m = herm_part(np.asarray(m, dtype=complex))
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureFailure(f"matrix is not positive definite: {exc}") from exc
     eye = np.eye(m.shape[0])
     b = alpha if alpha > 0.0 else alpha + 1.0
     k = np.ceil(np.arcsinh(QUAD_TAIL / (0.5 * np.pi * min(b, 1.0 - b))) / QUAD_STEP)

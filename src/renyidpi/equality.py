@@ -8,6 +8,15 @@ that saturate the inequality by design.
 
 Residuals are Frobenius norms divided by sqrt(dim) of the ambient space,
 so tolerances are dimension stable.
+
+Every order-dependent residual accepts one order or a 1-D array of
+orders. An array of n orders runs each family once over the whole grid:
+the powers are (n, ..., d, d) stacks from one batched eigensolve per
+factor, and the result is an array over the orders (n, k for a beta
+family) whose entries equal the scalar calls bit for bit; the scalar
+call is the one-order case of the same code. SaturationContext.build
+uses this to evaluate a triple's diagnostics over a scan's alpha grid
+in one pass.
 """
 
 from __future__ import annotations
@@ -16,13 +25,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, RenyiDpiError, SingularOutputState
+from .errors import (
+    DimensionMismatch,
+    InvalidAlpha,
+    NotPositiveDefinite,
+    RenyiDpiError,
+    SingularOutputState,
+)
 from .linalg import (
     as_order,
     dagger,
     frobenius,
     herm_part,
+    lift_b,
     matrix_power_psd,
+    order_array,
     positive_eig,
     product_power,
     trace_norm,
@@ -68,9 +85,10 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _mean_from_roots(a_half: np.ndarray, a_mhalf: np.ndarray, b: np.ndarray,
-                     lam: float) -> np.ndarray:
+                     lam) -> np.ndarray:
+    # b and lam may be stacked over orders: b (n, d, d) with lam (n,).
     mid = herm_part(a_mhalf @ b @ a_mhalf)
-    return herm_part(a_half @ matrix_power_psd(mid, float(lam)) @ a_half)
+    return herm_part(a_half @ matrix_power_psd(mid, lam) @ a_half)
 
 
 def default_beta_grid(alpha: float) -> tuple[complex, ...]:
@@ -83,29 +101,38 @@ def default_beta_grid(alpha: float) -> tuple[complex, ...]:
 
 def _normalized(diff: np.ndarray):
     """Frobenius norm over sqrt(dim); per slice, as an array, for a stack."""
-    if diff.ndim == 2:
-        return frobenius(diff) / np.sqrt(diff.shape[0])
-    return np.array([frobenius(x) for x in diff]) / np.sqrt(diff.shape[-1])
+    out = frobenius(diff) / np.sqrt(diff.shape[-1])
+    return out if np.ndim(out) else float(out)
 
 
-def _as_betas(beta) -> np.ndarray:
-    return np.atleast_1d(np.asarray(beta, dtype=complex))
+def _distinct(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The distinct betas, 1-D, and the index of each entry of betas among
+    # them: the default grids of different orders share most betas, so a
+    # beta-only power is computed once per distinct value.
+    values, index = np.unique(betas.ravel(), return_inverse=True)
+    return values, index.reshape(betas.shape)
 
 
-def _per_beta(values: np.ndarray, beta):
-    """The residual array for an array of betas, a float for a scalar."""
-    return values if np.ndim(beta) else float(values[0])
+def _order_betas(order, beta) -> tuple[np.ndarray, np.ndarray]:
+    # Validated alphas, shape A = () or (n,), and the betas as an array of
+    # shape (*A, *K): a 2-D beta array holds one row per order, anything
+    # else is one grid shared by every order.
+    alphas = order_array(order)
+    betas = np.asarray(beta, dtype=complex)
+    if alphas.ndim and betas.ndim < 2:
+        betas = np.broadcast_to(betas, alphas.shape + betas.shape)
+    return alphas, betas
 
 
-def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order) -> float:
+def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):
     """Residual of the adjoint-channel saturation condition.
 
     sigma^(-a/2) (sigma^(-a/2) rho sigma^(-a/2))^(a/(1-a)) sigma^(-a/2)
     against the adjoint channel applied to the same expression in the
-    output states; zero exactly at data-processing saturation.
+    output states; zero exactly at data-processing saturation. A 1-D
+    array of orders gives the array of residuals.
     """
-    order = as_order(order)
-    a = order.alpha
+    a = order_array(order)
     power = a / (1.0 - a)
 
     def side(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
@@ -119,33 +146,38 @@ def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
 
 
 def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                    dims: tuple[int, int], order) -> float:
+                    dims: tuple[int, int], order):
     """Residual of the geometric-mean saturation condition for Tr_B.
 
     rho_A #_(1/(1-a)) sigma_A^a otimes I_B against the same mean on AB.
     The square roots of rho_A and rho_AB come from their cached eigen-data.
+    A 1-D array of orders gives the array of residuals.
     """
-    order = as_order(order)
-    lam = 1.0 / (1.0 - order.alpha)
-    a = order.alpha
+    a = order_array(order)
+    lam = 1.0 / (1.0 - a)
     rho_a = rho_ab.reduced(dims)
     sigma_a = sigma_ab.reduced(dims)
-    lhs = np.kron(_mean_from_roots(rho_a.sqrt(), rho_a.power(-0.5), sigma_a.power(a), lam),
-                  np.eye(dims[1]))
+    lhs = lift_b(_mean_from_roots(rho_a.sqrt(), rho_a.power(-0.5), sigma_a.power(a), lam),
+                 dims[1])
     rhs = _mean_from_roots(rho_ab.sqrt(), rho_ab.power(-0.5), sigma_ab.power(a), lam)
     return _normalized(lhs - rhs)
 
 
-def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alpha: float,
+def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
                betas: np.ndarray) -> np.ndarray:
-    # Stack of sigma^beta (rho sigma^-a)^(beta/(a-1)) over the betas from
-    # sigma's cached eigen-data; product_power diagonalizes
-    # sigma^(-a/2) rho sigma^(-a/2) once for all.
+    # Stack of sigma^beta (rho sigma^-a)^(beta/(a-1)) over the betas, shape
+    # (*A, *K), from sigma's cached eigen-data; product_power diagonalizes
+    # sigma^(-a/2) rho sigma^(-a/2) once per order, in one batched call.
     # The exponents are Python complex quotients: numpy's complex divide
     # multiplies by a reciprocal, which can move the last bit and with it
     # the argmax over roundoff-level residuals on saturating triples.
-    z = np.array([b / (alpha - 1.0) for b in betas.tolist()], dtype=complex)
-    return sigma.spectral.power(betas) @ product_power(rho.matrix, sigma.spectral, alpha, z)
+    den = np.broadcast_to((alphas - 1.0).reshape(alphas.shape + (1,) * (betas.ndim - alphas.ndim)),
+                          betas.shape)
+    z = np.array([b / d for b, d in zip(betas.ravel().tolist(), den.ravel().tolist())],
+                 dtype=complex).reshape(betas.shape)
+    values, index = _distinct(betas)
+    return (sigma.spectral.power(values)[index]
+            @ product_power(rho.matrix, sigma.spectral, alphas, z))
 
 
 def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order, beta):
@@ -155,15 +187,16 @@ def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
     the same expression in the output states; the full family over beta in
     C characterizes saturation, and beta = -alpha recovers the adjoint-
     channel condition of t1_residual. A 1-D array of betas gives the array
-    of residuals, each equal to the scalar call.
+    of residuals; with a 1-D array of n orders, beta is either one grid
+    for all of them or an (n, k) array with a row per order, and the
+    result has shape (n, k). Each entry equals the scalar call.
     """
-    order = as_order(order)
-    betas = _as_betas(beta)
-    lhs = _t3_family(rho, sigma, order.alpha, betas)
+    alphas, betas = _order_betas(order, beta)
+    lhs = _t3_family(rho, sigma, alphas, betas)
     out_r = ch.apply_density(rho)
     out_s = ch.apply_density(sigma)
-    rhs = ch.adjoint_apply(_t3_family(out_r, out_s, order.alpha, betas))
-    return _per_beta(_normalized(lhs - rhs), beta)
+    rhs = ch.adjoint_apply(_t3_family(out_r, out_s, alphas, betas))
+    return _normalized(lhs - rhs)
 
 
 def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel,
@@ -175,28 +208,28 @@ def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChann
     partial-trace picture; the value agrees with the direct route to
     roundoff.
     """
-    order = as_order(order)
-    betas = _as_betas(beta)
+    alphas, betas = _order_betas(order, beta)
     v = stinespring_dilate(ch)
-    lhs = _t3_family(rho, sigma, order.alpha, betas)
+    lhs = _t3_family(rho, sigma, alphas, betas)
     out_r = DensityMatrix(v.apply(rho.matrix))
     out_s = DensityMatrix(v.apply(sigma.matrix))
-    rhs = v.adjoint_apply(_t3_family(out_r, out_s, order.alpha, betas))
-    return _per_beta(_normalized(lhs - rhs), beta)
+    rhs = v.adjoint_apply(_t3_family(out_r, out_s, alphas, betas))
+    return _normalized(lhs - rhs)
 
 
 def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
                        dims: tuple[int, int], beta):
     """Residual of sigma_AB^beta rho_AB^-beta = sigma_A^beta rho_A^-beta otimes I_B,
-    the relative-entropy saturation family. A 1-D array of betas gives the
-    array of residuals, each equal to the scalar call."""
-    betas = _as_betas(beta)
+    the relative-entropy saturation family. An array of betas, of any
+    shape (an (n, k) grid with a row per order, say), gives the array of
+    residuals of that shape, each equal to the scalar call."""
+    values, index = _distinct(np.asarray(beta, dtype=complex))
     rho_a = rho_ab.reduced(dims)
     sigma_a = sigma_ab.reduced(dims)
-    lhs = sigma_ab.spectral.power(betas) @ rho_ab.spectral.power(-betas)
-    rhs = np.kron(sigma_a.spectral.power(betas) @ rho_a.spectral.power(-betas),
-                  np.eye(dims[1]))
-    return _per_beta(_normalized(lhs - rhs), beta)
+    lhs = sigma_ab.spectral.power(values) @ rho_ab.spectral.power(-values)
+    rhs = lift_b(sigma_a.spectral.power(values) @ rho_a.spectral.power(-values), dims[1])
+    out = _normalized(lhs - rhs)[index]
+    return out if out.ndim else float(out)
 
 
 def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.ndarray:
@@ -220,22 +253,23 @@ def alpha_recover(sigma_ab: DensityMatrix, dims: tuple[int, int], order,
         sigma_AB^(1-a) (sigma_A^(a-1) x sigma_A^-a otimes I_B) sigma_AB^a.
 
     Trace preserving for every order; coincides with the Petz map at
-    alpha = 1/2 but is not asserted to be positive elsewhere.
+    alpha = 1/2 but is not asserted to be positive elsewhere. A 1-D array
+    of orders gives the stack of the maps' outputs.
     """
-    order = as_order(order)
-    a = order.alpha
+    a = order_array(order)
     sigma_a = sigma_ab.reduced(dims)
     x_a = np.asarray(x_a, dtype=complex)
     if x_a.shape != (dims[0], dims[0]):
         raise DimensionMismatch(f"input side {x_a.shape} does not match d_A {dims[0]}")
-    inner = np.kron(sigma_a.power(a - 1.0) @ x_a @ sigma_a.power(-a), np.eye(dims[1]))
+    inner = lift_b(sigma_a.power(a - 1.0) @ x_a @ sigma_a.power(-a), dims[1])
     return sigma_ab.power(1.0 - a) @ inner @ sigma_ab.power(a)
 
 
 def necessary1_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                        dims: tuple[int, int], order) -> float:
+                        dims: tuple[int, int], order):
     """Perfect-recovery form of the power-family condition at beta = alpha - 1:
-    the power-family map must send rho_A back to rho_AB."""
+    the power-family map must send rho_A back to rho_AB. A 1-D array of
+    orders gives the array of residuals."""
     rho_a = rho_ab.reduced(dims)
     recovered = alpha_recover(sigma_ab, dims, order, rho_a.matrix)
     return _normalized(recovered - rho_ab.matrix)
@@ -247,7 +281,7 @@ def necessary2_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     beta = 1 - alpha corollary; necessary but possibly not sufficient."""
     rho_a = rho_ab.reduced(dims)
     sigma_a = sigma_ab.reduced(dims)
-    lhs = np.kron(sigma_a.matrix @ rho_a.power(-1.0), np.eye(dims[1]))
+    lhs = lift_b(sigma_a.matrix @ rho_a.power(-1.0), dims[1])
     rhs = sigma_ab.matrix @ rho_ab.power(-1.0)
     return _normalized(lhs - rhs)
 
@@ -277,7 +311,7 @@ def weighted_modular_pair(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     r_mhalf = rho_a.power(-0.5)
     a_star_sq = herm_part(r_mhalf @ omega_a.matrix @ r_mhalf)
     lifted = herm_part(
-        rho_ab.sqrt() @ np.kron(a_star_sq, np.eye(dims[1])) @ rho_ab.sqrt()
+        rho_ab.sqrt() @ lift_b(a_star_sq, dims[1]) @ rho_ab.sqrt()
     )
     omega_ab = DensityMatrix(lifted / np.trace(lifted).real)
     return (RelativeModularOperator(sigma_ab, omega_ab),
@@ -405,13 +439,20 @@ class ResidualReport:
 
 @dataclass(frozen=True, eq=False)
 class SaturationContext:
-    """The alpha-independent part of the diagnostics of one triple
-    (rho_AB, sigma_AB, Tr_B), computed once by `build`.
+    """Every saturation diagnostic of one triple (rho_AB, sigma_AB, Tr_B)
+    over a grid of orders, computed once by `build`.
 
     channel is Tr_B; its outputs are the states' cached reduced states, so
     no residual rebuilds them. compression is the isometry U of the
     split, commutator the Jensen commutator norm divided by d_A * d_B,
-    and recovery_error the Petz recovery error from the reduced state.
+    and recovery_error the Petz recovery error from the reduced state;
+    these and necessary2 do not depend on the order.
+
+    alphas is the order grid and betas its (n_alpha, n_beta) beta grid,
+    one row per order. Each order-dependent family was evaluated once,
+    stacked over the whole grid: t3 and petz_beta have shape
+    (n_alpha, n_beta); t1, t1_geo, necessary1 and dpi_gap (unclamped)
+    have shape (n_alpha,). Row i of every array belongs to alphas[i].
     """
 
     rho_ab: DensityMatrix
@@ -421,48 +462,75 @@ class SaturationContext:
     compression: CompressionIsometry
     commutator: float
     recovery_error: float
+    alphas: tuple[float, ...]
+    betas: np.ndarray
+    t3: np.ndarray
+    petz_beta: np.ndarray
+    t1: np.ndarray
+    t1_geo: np.ndarray
+    necessary1: np.ndarray
+    necessary2: float
+    dpi_gap: np.ndarray
 
     @classmethod
     def build(cls, rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-              dims: tuple[int, int]) -> "SaturationContext":
+              dims: tuple[int, int], orders, beta_grid=None) -> "SaturationContext":
+        """Diagnostics of the triple at each of `orders` (one order or a
+        1-D sequence). beta_grid is one grid for every order; None takes
+        default_beta_grid(alpha) for each order's row."""
         dims = (int(dims[0]), int(dims[1]))
+        alphas = np.atleast_1d(order_array(orders))
+        if beta_grid is None:
+            betas = np.array([default_beta_grid(a) for a in alphas.tolist()], dtype=complex)
+        else:
+            grid = np.array([complex(b) for b in beta_grid], dtype=complex)
+            betas = np.broadcast_to(grid, (len(alphas), len(grid)))
+        ch = partial_trace_channel(*dims)
         ci = CompressionIsometry(rho_ab, *dims)
         commutator = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
-        return cls(rho_ab=rho_ab, sigma_ab=sigma_ab, dims=dims,
-                   channel=partial_trace_channel(*dims), compression=ci,
-                   commutator=commutator / (dims[0] * dims[1]),
-                   recovery_error=recovery_error(rho_ab, sigma_ab, dims))
+        return cls(
+            rho_ab=rho_ab, sigma_ab=sigma_ab, dims=dims, channel=ch, compression=ci,
+            commutator=commutator / (dims[0] * dims[1]),
+            recovery_error=recovery_error(rho_ab, sigma_ab, dims),
+            alphas=tuple(alphas.tolist()), betas=betas,
+            t3=t3_residual(rho_ab, sigma_ab, ch, alphas, betas),
+            petz_beta=petz_beta_residual(rho_ab, sigma_ab, dims, betas),
+            t1=t1_residual(rho_ab, sigma_ab, ch, alphas),
+            t1_geo=t1_geo_residual(rho_ab, sigma_ab, dims, alphas),
+            necessary1=necessary1_residual(rho_ab, sigma_ab, dims, alphas),
+            necessary2=necessary2_residual(rho_ab, sigma_ab, dims),
+            dpi_gap=dpi_gap(rho_ab, sigma_ab, ch, alphas),
+        )
 
 
-def full_report(ctx: SaturationContext, order, beta_grid=None) -> ResidualReport:
+def full_report(ctx: SaturationContext, order) -> ResidualReport:
     """All saturation diagnostics for a partial-trace triple at one order.
 
     Bundles the divergence gap with every equality-condition residual over
     the beta grid; on a saturating triple all entries sit at roundoff,
     and on a generic triple the gap and the residuals are jointly positive.
-    Only the per-order work happens here: the alpha-independent entries
-    come from the context, and each beta family is one vectorized call.
+    The context evaluated everything over its order grid, so this only
+    assembles the report of one of its orders; an order outside the grid
+    raises InvalidAlpha.
     """
-    order = as_order(order)
-    if beta_grid is None:
-        beta_grid = default_beta_grid(order.alpha)
-    beta_grid = tuple(complex(b) for b in beta_grid)
-    betas = np.array(beta_grid, dtype=complex)
-    rho_ab, sigma_ab, dims, ch = ctx.rho_ab, ctx.sigma_ab, ctx.dims, ctx.channel
-    t3_vals = tuple(t3_residual(rho_ab, sigma_ab, ch, order, betas).tolist())
-    pb_vals = tuple(petz_beta_residual(rho_ab, sigma_ab, dims, betas).tolist())
+    alpha = as_order(order).alpha
+    if alpha not in ctx.alphas:
+        raise InvalidAlpha(f"alpha {alpha} is not on the context's order grid {ctx.alphas}")
+    i = ctx.alphas.index(alpha)
+    t3_vals = tuple(ctx.t3[i].tolist())
+    pb_vals = tuple(ctx.petz_beta[i].tolist())
     residuals = {
-        "t1": t1_residual(rho_ab, sigma_ab, ch, order),
-        "t1_geo": t1_geo_residual(rho_ab, sigma_ab, dims, order),
+        "t1": float(ctx.t1[i]),
+        "t1_geo": float(ctx.t1_geo[i]),
         "t3": max(t3_vals),
         "petz_beta": max(pb_vals),
-        "necessary1": necessary1_residual(rho_ab, sigma_ab, dims, order),
-        "necessary2": necessary2_residual(rho_ab, sigma_ab, dims),
+        "necessary1": float(ctx.necessary1[i]),
+        "necessary2": ctx.necessary2,
         "commutator": ctx.commutator,
-        "dpi_gap": max(dpi_gap(rho_ab, sigma_ab, ch, order), 0.0),
+        "dpi_gap": max(float(ctx.dpi_gap[i]), 0.0),
     }
-    return ResidualReport(alpha=order.alpha, beta_grid=beta_grid, residuals=residuals,
-                          t3_by_beta=t3_vals, petz_beta_by_beta=pb_vals)
+    return ResidualReport(alpha=alpha, beta_grid=tuple(ctx.betas[i].tolist()),
+                          residuals=residuals, t3_by_beta=t3_vals, petz_beta_by_beta=pb_vals)
 
 
 def mutual_implication_ok(report: ResidualReport, gap_tol: float = 1e-9,

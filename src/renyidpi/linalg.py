@@ -4,6 +4,13 @@ The validated Renyi order, Hermitian spectral calculus, principal matrix
 powers, row-major vectorization, partial traces, and Schatten norms.
 Everything here is a pure function over numpy arrays; dimensions are
 desk scale (a few qubits), so no attempt is made at sparsity or blocking.
+
+The spectral calculus also runs on stacks: a (*B, d, d) array of
+Hermitian matrices is decomposed in one batched eigensolve, checked
+slice by slice, and its powers broadcast an exponent array of shape
+(*B, *K) to (*B, *K, d, d). Each slice equals the call on that slice
+alone, bit for bit, because every batched kernel (eigh, matmul, the
+dot products of the norm) runs the same LAPACK/BLAS call per slice.
 """
 
 from __future__ import annotations
@@ -61,6 +68,17 @@ def as_order(order) -> RenyiOrder:
     return RenyiOrder(float(order))
 
 
+def order_array(order):
+    """Validated alphas of one order (a numpy float, shape ()) or of a 1-D
+    sequence of orders (a float array, shape (n,)); each entry passes
+    as_order."""
+    if isinstance(order, (float, int, np.number, RenyiOrder)) or np.ndim(order) == 0:
+        return np.float64(as_order(order).alpha)
+    if np.ndim(order) > 1:
+        raise InvalidAlpha(f"orders must form a 1-D array, got shape {np.shape(order)}")
+    return np.array([as_order(a).alpha for a in order], dtype=float)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each slice for a stack of shape (..., n, m)."""
     return a.conj().swapaxes(-1, -2)
@@ -71,32 +89,91 @@ def herm_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray):
+    """Frobenius norm; per slice, as an array, for a stack (..., n, m).
+
+    A stack's norms come from the same BLAS dot products of the real and
+    imaginary parts that np.linalg.norm uses on one matrix, so each entry
+    equals the norm of its slice bit for bit.
+    """
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return float(np.linalg.norm(a))
+    flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    sq = np.matmul(flat.real, flat.real.swapaxes(-1, -2))
+    if np.iscomplexobj(a):
+        sq = sq + np.matmul(flat.imag, flat.imag.swapaxes(-1, -2))
+    return np.sqrt(sq).reshape(a.shape[:-2])
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
+def _failing_slice(bad):
+    # For a check's outcome, a bool for one matrix or a bool array over a
+    # stack: None when nothing failed, else the message prefix naming the
+    # first failing slice (empty for one matrix, so its messages read as
+    # before) and that slice's index.
+    if not isinstance(bad, np.ndarray):
+        return ("", ()) if bad else None
+    if not bad.any():
+        return None
+    idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return f"slice {idx[0] if len(idx) == 1 else idx}: ", idx
+
+
+def _as_stack(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
+def _as_square(m: np.ndarray) -> np.ndarray:
+    m = _as_stack(m)
+    if m.ndim != 2:
+        raise NonSquare(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def lift_b(x: np.ndarray, d_b: int) -> np.ndarray:
+    """x otimes I_B for x of shape (..., d_A, d_A), slice by slice.
+
+    Formed by broadcasting against the identity and one reshape, so a
+    stack needs no per-slice np.kron; the entries equal np.kron's.
+    """
+    x = np.asarray(x, dtype=complex)
+    d_a = x.shape[-1]
+    out = x[..., :, None, :, None] * np.eye(int(d_b))[:, None, :]
+    return out.reshape(x.shape[:-2] + (d_a * d_b, d_a * d_b))
+
+
+def _lift(x: np.ndarray, k: int) -> np.ndarray:
+    # Insert k unit axes before the matrix axes, so x broadcasts over a
+    # (*B, *K, d, d) stack with len(K) = k.
+    return x.reshape(x.shape[:-2] + (1,) * k + x.shape[-2:])
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigen-data of a Hermitian matrix: real ascending eigenvalues and a
-    unitary whose columns are the matching eigenvectors."""
+    """Eigen-data of a Hermitian matrix, or of a stack of them: real
+    ascending eigenvalues, shape (*B, d), and unitaries whose columns are
+    the matching eigenvectors, shape (*B, d, d). B is () for one matrix."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def apply(self, fn) -> np.ndarray:
-        """Return V f(lambda) V^dagger for a scalar function fn."""
+        """Return V f(lambda) V^dagger for an elementwise function fn.
+
+        fn maps the (*B, d) eigenvalues to values of shape (*B, *K, d);
+        the result is the (*B, *K, d, d) stack of the matching matrices.
+        """
+        f = fn(self.eigenvalues)
         v = self.eigenvectors
-        return (v * fn(self.eigenvalues)) @ dagger(v)
+        if f.ndim > 1:
+            v = _lift(v, f.ndim - self.eigenvalues.ndim)
+            f = f[..., None, :]
+        return (v * f) @ dagger(v)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
@@ -104,74 +181,83 @@ class SpectralDecomposition:
     def power(self, z) -> np.ndarray:
         """Principal power V diag(lambda^z) V^dagger with lambda^z = exp(z ln lambda).
 
-        Complex exponents are allowed; the result is re-Hermitized when z
-        is real, and z = 0 gives the identity. A 1-D array of exponents
-        gives the stack of those powers, shape (len(z), d, d), each slice
-        equal to the scalar call.
+        Complex exponents are allowed; a slice is re-Hermitized when its
+        exponent is real, and z = 0 gives the identity. z has shape
+        (*B, *K): a scalar or a 1-D array of exponents for one matrix, one
+        row of exponents per slice for a stack. The result has shape
+        (*B, *K, d, d), each slice equal to the scalar call on its matrix.
         """
-        if isinstance(z, np.ndarray) and z.ndim:
-            return self._power_stack(z)
-        if complex(z) == 0.0:
-            return np.eye(len(self.eigenvalues), dtype=complex)
-        out = self.apply(lambda w: np.power(w.astype(complex), z))
-        if complex(z).imag == 0.0:
-            out = herm_part(out)
-        return out
-
-    def _power_stack(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        if z.ndim != 1:
-            raise ValueError(f"exponents must form a 1-D array, got shape {z.shape}")
-        v = self.eigenvectors
-        spectra = np.power(self.eigenvalues.astype(complex), z[:, None])
-        out = (v * spectra[:, None, :]) @ dagger(v)
-        real = z.imag == 0.0
-        out[real] = herm_part(out[real])
-        out[z == 0.0] = np.eye(len(self.eigenvalues))
+        nb = self.eigenvalues.ndim - 1
+        if z.shape[:nb] != self.eigenvalues.shape[:-1]:
+            raise ValueError(f"exponents of shape {z.shape} do not lead with the "
+                             f"stack shape {self.eigenvalues.shape[:-1]}")
+        if nb and z.ndim > nb:
+            lead = self.eigenvalues.shape[:-1] + (1,) * (z.ndim - nb) + (-1,)
+        else:
+            lead = self.eigenvalues.shape
+        out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex),
+                                            z[..., None] if z.ndim else z))
+        exponents = z.ravel().tolist()
+        real = [e.imag == 0.0 for e in exponents]
+        if all(real):
+            out = herm_part(out)
+        elif any(real):
+            out = np.where(np.reshape(real, z.shape + (1, 1)), herm_part(out), out)
+        if 0j in exponents:
+            out[z == 0.0] = np.eye(out.shape[-1])
         return out
 
 
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of a (*B, d, d)
+    stack of them in one batched eigensolve.
 
     Raises NonSquare / NonHermitian when the input fails the shape or
     symmetry checks; the symmetry tolerance is HERM_RTOL relative to the
-    Frobenius norm.
+    Frobenius norm, applied slice by slice, and a stack's message names
+    the first failing slice.
     """
-    m = _as_square(m)
-    scale = max(frobenius(m), 1.0)
-    if frobenius(m - dagger(m)) > HERM_RTOL * scale:
-        raise NonHermitian("matrix is not Hermitian within tolerance")
+    m = _as_stack(m)
+    failed = _failing_slice(frobenius(m - dagger(m)) > HERM_RTOL * np.maximum(frobenius(m), 1.0))
+    if failed:
+        raise NonHermitian(f"{failed[0]}matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def positive_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Spectral decomposition of a strictly positive Hermitian matrix.
+    """Spectral decomposition of a strictly positive Hermitian matrix, or
+    of a stack of them.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue is below EPS_POS.
+    Raises NotPositiveDefinite when a smallest eigenvalue is below
+    EPS_POS, naming the first such slice of a stack.
     """
     return _above_floor(hermitian_eig(m))
 
 
 def _above_floor(sd: SpectralDecomposition) -> SpectralDecomposition:
-    if sd.eigenvalues.min() < EPS_POS:
+    low = sd.eigenvalues.min(axis=-1)
+    failed = _failing_slice(low < EPS_POS)
+    if failed:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {sd.eigenvalues.min():.3e} below floor {EPS_POS:.0e}"
+            f"{failed[0]}smallest eigenvalue {low[failed[1]]:.3e} below floor {EPS_POS:.0e}"
         )
     return sd
 
 
 def matrix_power_psd(m: np.ndarray, z) -> np.ndarray:
-    """Principal power m^z of a strictly positive Hermitian matrix.
+    """Principal power m^z of a strictly positive Hermitian matrix, or of
+    each slice of a (*B, d, d) stack.
 
-    See SpectralDecomposition.power for the exponent conventions; a 1-D
-    array of exponents gives a stack of powers from one eigensolve.
+    See SpectralDecomposition.power for the exponent conventions: z has
+    shape (*B, *K), and all the powers of one matrix come from its one
+    eigensolve.
     """
     return positive_eig(m).power(z)
 
 
-def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha: float,
+def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha,
                   z) -> np.ndarray:
     """Principal power (rho sigma^-alpha)^z for strictly positive rho, sigma.
 
@@ -183,9 +269,10 @@ def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha: float,
 
         sigma^{alpha/2} (sigma^{-alpha/2} rho sigma^{-alpha/2})^z sigma^{-alpha/2}
 
-    which avoids any non-normal eigenproblem. A 1-D array of exponents
-    gives the stack of powers, with one eigensolve of the middle factor
-    for all of them.
+    which avoids any non-normal eigenproblem. alpha is a scalar or a 1-D
+    array of shape A, and z has shape (*A, *K); the result has shape
+    (*A, *K, d, d), with one batched eigensolve of the middle factors for
+    all of it.
     """
     rho = _as_square(rho)
     sd = _above_floor(sigma)
@@ -193,10 +280,12 @@ def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha: float,
         raise DimensionMismatch(
             f"rho side {rho.shape[0]} and sigma side {len(sd.eigenvalues)} differ"
         )
-    s_half = sd.power(alpha / 2.0)
+    alpha = np.asarray(alpha, dtype=float)
+    k = np.ndim(z) - alpha.ndim
+    s_half = _lift(sd.power(alpha / 2.0), k)
     s_mhalf = sd.power(-alpha / 2.0)
     mid = herm_part(s_mhalf @ rho @ s_mhalf)
-    return s_half @ matrix_power_psd(mid, z) @ s_mhalf
+    return s_half @ matrix_power_psd(mid, z) @ _lift(s_mhalf, k)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], traced: str = "B") -> np.ndarray:

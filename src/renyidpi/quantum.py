@@ -69,8 +69,14 @@ class DensityMatrix:
         self._pow_cache: dict[complex, np.ndarray] = {}
         self._reduced_cache: dict[tuple[int, int], DensityMatrix] = {}
 
-    def power(self, z: complex) -> np.ndarray:
-        """Principal matrix power, cached per exponent."""
+    def power(self, z) -> np.ndarray:
+        """Principal matrix power, cached per exponent.
+
+        An array of exponents gives the stack of powers (see
+        SpectralDecomposition.power); stacks are not cached.
+        """
+        if isinstance(z, np.ndarray) and z.ndim:
+            return self.spectral.power(z)
         key = complex(z)
         got = self._pow_cache.get(key)
         if got is None:

@@ -132,7 +132,7 @@ def test_criterion_05_saturation_equivalence():
             dims = dims_cycle[trial % 3]
             rho_ab, sigma_ab = build_recoverable_triple(kind, dims, stream(1005, k, trial))
             ch = partial_trace_channel(*dims)
-            ctx = SaturationContext.build(rho_ab, sigma_ab, dims)
+            ctx = SaturationContext.build(rho_ab, sigma_ab, dims, ALPHA_GRID)
             for alpha in ALPHA_GRID:
                 report = full_report(ctx, alpha)
                 worst_res = max(worst_res, report.max_residual())

@@ -192,6 +192,27 @@ class TestArakiMasuda:
                 )
                 assert abs(via_norm - sandwiched_renyi(rho, sigma, alpha)) <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1000.0, 2000.0])
+    def test_finite_at_large_order(self, p):
+        # Unscaled, w ** (p/2) overflows to inf on most of these pairs.
+        for seed in range(50):
+            rho = random_density(2, stream(seed, 0))
+            sigma = random_density(2, stream(seed, 1))
+            assert np.isfinite(araki_masuda_norm(rho, sigma, p))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 20.0, 1000.0])
+    def test_diagonal_weighted_norm(self, p):
+        # Classical weighted p-norm (sum_i p_i^(p/2) q_i^(1-p/2))^(1/p), in
+        # the log domain so the reference itself cannot overflow.
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            p_vec, q_vec = rand_probs(rng, 3), rand_probs(rng, 3)
+            log_terms = 0.5 * p * np.log(p_vec) + (1.0 - 0.5 * p) * np.log(q_vec)
+            expect = np.exp(np.logaddexp.reduce(log_terms) / p)
+            got = araki_masuda_norm(diag_density(p_vec), diag_density(q_vec), p)
+            assert abs(got - expect) <= 1e-10 * expect
+
     def test_rejects_bad_orders(self):
         rho = random_density(2, 18)
         with pytest.raises(InvalidOrder):
@@ -521,6 +542,14 @@ class TestIntegralRepresentation:
                 except QuadratureFailure:
                     continue
                 assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("m, alpha", [
+        (np.diag([1.0, -0.5]), 0.5),   # indefinite: gave -1.86 for the second entry
+        (np.diag([1.0, 0.0]), -0.5),   # singular: gave 1.7e20 for an infinite power
+    ])
+    def test_rejects_input_that_is_not_positive_definite(self, m, alpha):
+        with pytest.raises(QuadratureFailure):
+            integral_power_quadrature(m, alpha)
 
     def test_singular_resolvent_is_typed(self):
         # At alpha = 0.999 the far nodes underflow e^u to 0, leaving m itself.

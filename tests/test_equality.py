@@ -4,6 +4,8 @@ import pytest
 from renyidpi import (
     DensityMatrix,
     DimensionMismatch,
+    InvalidAlpha,
+    RECOVERABLE_KINDS,
     RenyiOrder,
     SingularOutputState,
     alpha_recover,
@@ -26,6 +28,7 @@ from renyidpi import (
     random_channel,
     random_density,
     recovery_error,
+    sandwiched_renyi,
     stream,
     t1_geo_residual,
     t1_residual,
@@ -47,31 +50,33 @@ def random_pair(dim, seed):
 
 class TestEigensolveCount:
     def test_full_report_reuses_cached_eigen_data(self, monkeypatch):
-        # The context does the alpha-independent work once, the states'
-        # powers, eigen-data and reduced states are cached, and each beta
-        # family needs one eigensolve per side for the whole grid.
+        # The context evaluates every family over the whole alpha grid:
+        # one batched eigensolve per factor and side, whatever the grid's
+        # length, and full_report only assembles. Build included.
         rho, sigma = random_density(4, 11), random_density(4, 12)
         calls = counting(monkeypatch, np.linalg, "eigh")
-        ctx = SaturationContext.build(rho, sigma, (2, 2))
+        ctx = SaturationContext.build(rho, sigma, (2, 2), DEFAULT_ALPHA_GRID)
         for alpha in DEFAULT_ALPHA_GRID:
             full_report(ctx, alpha)
-        assert len(calls) / len(DEFAULT_ALPHA_GRID) <= 6.4
+        assert len(calls) / len(DEFAULT_ALPHA_GRID) <= 1.5
 
     def test_recovery_error_reuses_the_reduced_state(self, monkeypatch):
         # The certificate of a recoverable triple builds Tr_B(sigma_AB)
         # once; recomputing the recovery error, as the context does,
-        # needs no further eigensolve.
+        # needs no further eigensolve. (The context's per-order families
+        # do need eigensolves, so only the recomputation is counted.)
         rho_ab, sigma_ab = build_recoverable_triple("blocked", (2, 2), 62)
         calls = counting(monkeypatch, np.linalg, "eigh")
-        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2))
-        assert ctx.recovery_error == recovery_error(rho_ab, sigma_ab, (2, 2))
+        err = recovery_error(rho_ab, sigma_ab, (2, 2))
         assert calls == []
+        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2), 0.5)
+        assert ctx.recovery_error == err
 
     def test_no_superoperator_sized_kron_at_4x4(self, monkeypatch):
         # Side 16^2 = 256 would be a materialized super-operator.
         sides = counting(monkeypatch, np, "kron", record=lambda out: max(out.shape))
         rho, sigma = random_density(16, 13), random_density(16, 14)
-        full_report(SaturationContext.build(rho, sigma, (4, 4)), 0.5)
+        full_report(SaturationContext.build(rho, sigma, (4, 4), 0.5), 0.5)
         assert sides and max(sides) < 256
 
 
@@ -118,6 +123,102 @@ class TestVectorizedFamilies:
         ch = partial_trace_channel(2, 2)
         assert isinstance(t3_residual(rho, sigma, ch, 0.5, 0.5 + 1j), float)
         assert isinstance(petz_beta_residual(rho, sigma, (2, 2), -0.5), float)
+
+
+class TestOrderStacks:
+    """Every order-dependent family over an array of orders equals its
+    scalar calls bit for bit, and the context holds exactly those arrays."""
+
+    ORDERS = (-1.0, -0.5, 0.3, 0.5, 0.9)
+    FIXED_BETAS = (0.5 + 0j, -0.3 + 0j, 0.5j, 1.0 - 1j)
+
+    @staticmethod
+    def triples(dims):
+        dim = dims[0] * dims[1]
+        yield random_pair(dim, 70)
+        for kind in RECOVERABLE_KINDS:
+            yield build_recoverable_triple(kind, dims, 71)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_array_of_orders_matches_scalar_calls(self, dims):
+        alphas = np.array(self.ORDERS)
+        ch = partial_trace_channel(*dims)
+        grids = {
+            "default": np.array([default_beta_grid(a) for a in self.ORDERS]),
+            "fixed": np.array(self.FIXED_BETAS),
+        }
+        for rho, sigma in self.triples(dims):
+            scalar = {
+                "t1": lambda a: t1_residual(rho, sigma, ch, a),
+                "t1_geo": lambda a: t1_geo_residual(rho, sigma, dims, a),
+                "necessary1": lambda a: necessary1_residual(rho, sigma, dims, a),
+                "dpi_gap": lambda a: dpi_gap(rho, sigma, ch, a),
+                "sandwiched": lambda a: sandwiched_renyi(rho, sigma, a),
+            }
+            stacked = {
+                "t1": t1_residual(rho, sigma, ch, alphas),
+                "t1_geo": t1_geo_residual(rho, sigma, dims, alphas),
+                "necessary1": necessary1_residual(rho, sigma, dims, alphas),
+                "dpi_gap": dpi_gap(rho, sigma, ch, alphas),
+                "sandwiched": sandwiched_renyi(rho, sigma, alphas),
+            }
+            for name, values in stacked.items():
+                want = np.array([scalar[name](a) for a in self.ORDERS])
+                assert values.shape == alphas.shape and np.array_equal(values, want), name
+            for grid in grids.values():
+                t3 = t3_residual(rho, sigma, ch, alphas, grid)
+                pb = petz_beta_residual(rho, sigma, dims, np.broadcast_to(grid, t3.shape))
+                assert t3.shape == pb.shape == (len(alphas), grid.shape[-1])
+                for i, alpha in enumerate(self.ORDERS):
+                    row = grid[i] if grid.ndim == 2 else grid
+                    assert np.array_equal(t3[i], t3_residual(rho, sigma, ch, alpha, row))
+                    assert np.array_equal(pb[i], petz_beta_residual(rho, sigma, dims, row))
+                    assert all(t3[i, j] == t3_residual(rho, sigma, ch, alpha, b)
+                               for j, b in enumerate(row))
+
+    @pytest.mark.parametrize("beta_grid", [None, FIXED_BETAS])
+    def test_context_rows_are_the_scalar_reports(self, beta_grid):
+        dims = (2, 3)
+        ch = partial_trace_channel(*dims)
+        for rho, sigma in self.triples(dims):
+            ctx = SaturationContext.build(rho, sigma, dims, self.ORDERS, beta_grid)
+            for alpha in self.ORDERS:
+                report = full_report(ctx, alpha)
+                grid = default_beta_grid(alpha) if beta_grid is None else beta_grid
+                assert report.beta_grid == tuple(grid)
+                assert report.t3_by_beta == tuple(t3_residual(rho, sigma, ch, alpha, grid))
+                assert report.petz_beta_by_beta == tuple(petz_beta_residual(rho, sigma, dims, grid))
+                assert report.residuals["t1"] == t1_residual(rho, sigma, ch, alpha)
+                assert report.residuals["t1_geo"] == t1_geo_residual(rho, sigma, dims, alpha)
+                assert report.residuals["necessary1"] == necessary1_residual(rho, sigma, dims, alpha)
+                assert report.residuals["dpi_gap"] == max(dpi_gap(rho, sigma, ch, alpha), 0.0)
+
+    def test_scalar_orders_give_floats(self):
+        rho, sigma = random_pair(4, 72)
+        ch = partial_trace_channel(2, 2)
+        for value in (t1_residual(rho, sigma, ch, 0.5), t1_geo_residual(rho, sigma, (2, 2), 0.5),
+                      necessary1_residual(rho, sigma, (2, 2), 0.5), dpi_gap(rho, sigma, ch, 0.5),
+                      sandwiched_renyi(rho, sigma, RenyiOrder(0.5))):
+            assert isinstance(value, float)
+
+    def test_eigensolves_do_not_grow_with_the_grid(self, monkeypatch):
+        rho, sigma = random_pair(4, 73)
+        rho.reduced((2, 2)), sigma.reduced((2, 2))
+        calls = counting(monkeypatch, np.linalg, "eigh")
+        SaturationContext.build(rho, sigma, (2, 2), 0.5)
+        one = len(calls)
+        SaturationContext.build(rho, sigma, (2, 2), DEFAULT_ALPHA_GRID)
+        assert len(calls) - one == one
+
+    def test_order_outside_the_grid_is_rejected(self):
+        rho, sigma = random_pair(4, 74)
+        ctx = SaturationContext.build(rho, sigma, (2, 2), (-0.5, 0.5))
+        with pytest.raises(InvalidAlpha):
+            full_report(ctx, 0.3)
+        with pytest.raises(InvalidAlpha):
+            full_report(ctx, 1.5)
+        with pytest.raises(InvalidAlpha):
+            SaturationContext.build(rho, sigma, (2, 2), (0.5, 0.0))
 
 
 class TestGeometricMean:
@@ -421,7 +522,7 @@ class TestRecoverableTriples:
 class TestFullReport:
     def test_recoverable_all_below_tolerance(self):
         rho_ab, sigma_ab = build_recoverable_triple("conjugated-product", (2, 2), 48)
-        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2))
+        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2), (-0.5, 0.5))
         for alpha in (-0.5, 0.5):
             report = full_report(ctx, alpha)
             assert report.max_residual() <= 1e-8
@@ -431,12 +532,12 @@ class TestFullReport:
     def test_trivial_environment_is_identity_channel(self):
         # d_B = 1 turns the partial trace into the identity channel.
         rho, sigma = random_pair(3, 49)
-        report = full_report(SaturationContext.build(rho, sigma, (3, 1)), 0.4)
+        report = full_report(SaturationContext.build(rho, sigma, (3, 1), 0.4), 0.4)
         assert report.max_residual() <= 1e-9
 
     def test_generic_jointly_positive(self):
         rho, sigma = random_pair(4, 50)
-        report = full_report(SaturationContext.build(rho, sigma, (2, 2)), 0.5)
+        report = full_report(SaturationContext.build(rho, sigma, (2, 2), 0.5), 0.5)
         assert report.residuals["dpi_gap"] > 1e-4
         assert report.residuals["t3"] > 1e-4
         assert not report.saturated()
@@ -453,7 +554,7 @@ class TestFullReport:
 
     def test_json_layout(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 51)
-        report = full_report(SaturationContext.build(rho_ab, sigma_ab, (2, 2)), 0.3)
+        report = full_report(SaturationContext.build(rho_ab, sigma_ab, (2, 2), 0.3), 0.3)
         payload = report.to_json()
         assert payload["alpha"] == 0.3
         assert len(payload["beta_re"]) == len(payload["beta_im"]) == 9
@@ -470,8 +571,8 @@ class TestFullReport:
         # machinery must run there, but no saturation equivalence is
         # asserted at the endpoint itself.
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 52)
-        report = full_report(SaturationContext.build(rho_ab, sigma_ab, (2, 2)), -1.0)
+        report = full_report(SaturationContext.build(rho_ab, sigma_ab, (2, 2), -1.0), -1.0)
         assert all(np.isfinite(v) for v in report.residuals.values())
         rho, sigma = random_pair(4, 53)
-        generic = full_report(SaturationContext.build(rho, sigma, (2, 2)), -1.0)
+        generic = full_report(SaturationContext.build(rho, sigma, (2, 2), -1.0), -1.0)
         assert all(np.isfinite(v) for v in generic.residuals.values())

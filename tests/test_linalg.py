@@ -9,6 +9,7 @@ from renyidpi import (
     NonHermitian,
     NonSquare,
     NotPositiveDefinite,
+    SpectralDecomposition,
     dagger,
     devectorize,
     frobenius,
@@ -21,6 +22,7 @@ from renyidpi import (
     schatten_norm,
     vectorize,
 )
+from renyidpi.linalg import positive_eig
 from helpers import nonhermitian_power, rand_pd
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -105,6 +107,75 @@ class TestMatrixPower:
                     # Re-Hermitized exactly, as the scalar call is.
                     assert np.array_equal(got, dagger(got))
             assert np.array_equal(stack[0], np.eye(d))
+
+
+class TestStacks:
+    """Stacked eigen-data: each slice equals the call on its matrix alone."""
+
+    @staticmethod
+    def stack(rng, n, d):
+        return np.stack([rand_pd(rng, d) for _ in range(n)])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_stacked_eig_and_norm_match_the_slices(self, d):
+        rng = np.random.default_rng(40 + d)
+        ms = self.stack(rng, 5, d)
+        sd = hermitian_eig(ms)
+        assert sd.eigenvalues.shape == (5, d) and sd.eigenvectors.shape == (5, d, d)
+        norms = frobenius(ms)
+        for k, m in enumerate(ms):
+            one = hermitian_eig(m)
+            assert np.array_equal(sd.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(sd.eigenvectors[k], one.eigenvectors)
+            assert norms[k] == frobenius(m)
+
+    def test_power_broadcasts_a_row_of_exponents_per_slice(self):
+        rng = np.random.default_rng(41)
+        sd = hermitian_eig(self.stack(rng, 3, 3))
+        zs = np.array([[0.0, 0.3, 0.5j], [-1.5, 2.0, 0.5 + 1j], [0.5, -0.7, 0.0]])
+        out = sd.power(zs)
+        assert out.shape == (3, 3, 3, 3)
+        for k in range(3):
+            one = SpectralDecomposition(sd.eigenvalues[k], sd.eigenvectors[k])
+            assert np.array_equal(sd.power(zs[:, 0])[k], one.power(zs[k, 0]))
+            for j, z in enumerate(zs[k]):
+                assert np.array_equal(out[k, j], one.power(z))
+        assert np.array_equal(out[0, 0], np.eye(3))
+        with pytest.raises(ValueError):
+            sd.power(np.zeros(4))
+
+    def test_matrix_and_product_power_over_orders(self):
+        rng = np.random.default_rng(42)
+        rho, sd = rand_pd(rng, 3), hermitian_eig(rand_pd(rng, 3))
+        alphas = np.array([-0.9, 0.3, 0.5])
+        zs = np.array([[1.0, 0.5j], [-2.0, 0.3], [0.0, 1.0 - 1j]])
+        stack = product_power(rho, sd, alphas, zs)
+        assert stack.shape == (3, 2, 3, 3)
+        for k, alpha in enumerate(alphas):
+            assert np.array_equal(stack[k], product_power(rho, sd, alpha, zs[k]))
+        ms = self.stack(rng, 3, 3)
+        powers = matrix_power_psd(ms, alphas)
+        for k, alpha in enumerate(alphas):
+            assert np.array_equal(powers[k], matrix_power_psd(ms[k], alpha))
+
+    def test_stack_raises_when_one_slice_is_not_hermitian(self):
+        rng = np.random.default_rng(43)
+        ms = self.stack(rng, 4, 3)
+        ms[2, 0, 1] += 1e-3
+        with pytest.raises(NonHermitian, match="slice 2"):
+            hermitian_eig(ms)
+        with pytest.raises(NonHermitian, match="slice 2"):
+            positive_eig(ms)
+
+    def test_stack_raises_when_one_slice_is_below_the_floor(self):
+        rng = np.random.default_rng(44)
+        ms = self.stack(rng, 4, 3)
+        ms[1] = np.diag([1.0, 0.5, 1e-12])
+        with pytest.raises(NotPositiveDefinite, match="slice 1"):
+            positive_eig(ms)
+        with pytest.raises(NotPositiveDefinite, match="slice 1"):
+            matrix_power_psd(ms, 0.5 * np.ones(4))
+        hermitian_eig(ms)  # below the floor is still Hermitian
 
 
 class TestProductPower:

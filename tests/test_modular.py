@@ -190,7 +190,7 @@ class TestJensenDiagnostics:
         ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(rho_ab, rho_ab)
         assert jensen_commutator_norm(ci, dop) > 1e-2
-        report = full_report(SaturationContext.build(rho_ab, rho_ab, (2, 2)), 0.5)
+        report = full_report(SaturationContext.build(rho_ab, rho_ab, (2, 2), 0.5), 0.5)
         assert report.saturated()
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
