@@ -304,8 +304,6 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
 def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):
     """Data-processing gap D(rho||sigma) - D(ch rho||ch sigma), >= 0 up to
     roundoff; an array of gaps for a 1-D array of orders."""
-    order = order_array(order)
-    _check_pair(rho, sigma)
     before = sandwiched_renyi(rho, sigma, order)
     after = sandwiched_renyi(ch.apply_density(rho), ch.apply_density(sigma), order)
     return before - after

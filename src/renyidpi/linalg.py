@@ -96,8 +96,7 @@ def frobenius(a: np.ndarray):
     imaginary parts that np.linalg.norm uses on one matrix, so each entry
     equals the norm of its slice bit for bit.
     """
-    a = np.asarray(a)
-    if a.ndim <= 2:
+    if getattr(a, "ndim", 0) <= 2:
         return float(np.linalg.norm(a))
     flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
     sq = np.matmul(flat.real, flat.real.swapaxes(-1, -2))
@@ -192,12 +191,11 @@ class SpectralDecomposition:
         if z.shape[:nb] != self.eigenvalues.shape[:-1]:
             raise ValueError(f"exponents of shape {z.shape} do not lead with the "
                              f"stack shape {self.eigenvalues.shape[:-1]}")
-        if nb and z.ndim > nb:
+        if nb and z.ndim > nb:  # unit axes in w for the exponent axes K
             lead = self.eigenvalues.shape[:-1] + (1,) * (z.ndim - nb) + (-1,)
+            out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex), z[..., None]))
         else:
-            lead = self.eigenvalues.shape
-        out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex),
-                                            z[..., None] if z.ndim else z))
+            out = self.apply(lambda w: np.power(w.astype(complex), z[..., None] if z.ndim else z))
         exponents = z.ravel().tolist()
         real = [e.imag == 0.0 for e in exponents]
         if all(real):
