@@ -101,16 +101,12 @@ def default_beta_grid(alpha: float) -> tuple[complex, ...]:
 
 def _normalized(diff: np.ndarray):
     """Frobenius norm over sqrt(dim); per slice, as an array, for a stack."""
-    out = frobenius(diff) / np.sqrt(diff.shape[-1])
+    return frobenius(diff) / np.sqrt(diff.shape[-1])
+
+
+def _per_beta(out):
+    # A beta family's residuals: the array, or a float for one beta.
     return out if np.ndim(out) else float(out)
-
-
-def _distinct(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The distinct betas, 1-D, and the index of each entry of betas among
-    # them: the default grids of different orders share most betas, so a
-    # beta-only power is computed once per distinct value.
-    values, index = np.unique(betas.ravel(), return_inverse=True)
-    return values, index.reshape(betas.shape)
 
 
 def _order_betas(order, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +171,7 @@ def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
                           betas.shape)
     z = np.array([b / d for b, d in zip(betas.ravel().tolist(), den.ravel().tolist())],
                  dtype=complex).reshape(betas.shape)
-    values, index = _distinct(betas)
-    return (sigma.spectral.power(values)[index]
+    return (sigma.spectral.power(betas)
             @ product_power(rho.matrix, sigma.spectral, alphas, z))
 
 
@@ -196,7 +191,7 @@ def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
     out_r = ch.apply_density(rho)
     out_s = ch.apply_density(sigma)
     rhs = ch.adjoint_apply(_t3_family(out_r, out_s, alphas, betas))
-    return _normalized(lhs - rhs)
+    return _per_beta(_normalized(lhs - rhs))
 
 
 def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel,
@@ -214,7 +209,7 @@ def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChann
     out_r = DensityMatrix(v.apply(rho.matrix))
     out_s = DensityMatrix(v.apply(sigma.matrix))
     rhs = v.adjoint_apply(_t3_family(out_r, out_s, alphas, betas))
-    return _normalized(lhs - rhs)
+    return _per_beta(_normalized(lhs - rhs))
 
 
 def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
@@ -223,13 +218,12 @@ def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     the relative-entropy saturation family. An array of betas, of any
     shape (an (n, k) grid with a row per order, say), gives the array of
     residuals of that shape, each equal to the scalar call."""
-    values, index = _distinct(np.asarray(beta, dtype=complex))
+    betas = np.asarray(beta, dtype=complex)
     rho_a = rho_ab.reduced(dims)
     sigma_a = sigma_ab.reduced(dims)
-    lhs = sigma_ab.spectral.power(values) @ rho_ab.spectral.power(-values)
-    rhs = lift_b(sigma_a.spectral.power(values) @ rho_a.spectral.power(-values), dims[1])
-    out = _normalized(lhs - rhs)[index]
-    return out if out.ndim else float(out)
+    lhs = sigma_ab.spectral.power(betas) @ rho_ab.spectral.power(-betas)
+    rhs = lift_b(sigma_a.spectral.power(betas) @ rho_a.spectral.power(-betas), dims[1])
+    return _per_beta(_normalized(lhs - rhs))
 
 
 def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.ndarray:
@@ -477,7 +471,9 @@ class SaturationContext:
               dims: tuple[int, int], orders, beta_grid=None) -> "SaturationContext":
         """Diagnostics of the triple at each of `orders` (one order or a
         1-D sequence). beta_grid is one grid for every order; None takes
-        default_beta_grid(alpha) for each order's row."""
+        default_beta_grid(alpha) for each order's row. If a family fails
+        at some order, the error raised is that of the first failing
+        order, as its scalar call raises it."""
         dims = (int(dims[0]), int(dims[1]))
         alphas = np.atleast_1d(order_array(orders))
         if beta_grid is None:
@@ -488,19 +484,34 @@ class SaturationContext:
         ch = partial_trace_channel(*dims)
         ci = CompressionIsometry(rho_ab, *dims)
         commutator = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
-        return cls(
-            rho_ab=rho_ab, sigma_ab=sigma_ab, dims=dims, channel=ch, compression=ci,
-            commutator=commutator / (dims[0] * dims[1]),
-            recovery_error=recovery_error(rho_ab, sigma_ab, dims),
-            alphas=tuple(alphas.tolist()), betas=betas,
-            t3=t3_residual(rho_ab, sigma_ab, ch, alphas, betas),
-            petz_beta=petz_beta_residual(rho_ab, sigma_ab, dims, betas),
-            t1=t1_residual(rho_ab, sigma_ab, ch, alphas),
-            t1_geo=t1_geo_residual(rho_ab, sigma_ab, dims, alphas),
-            necessary1=necessary1_residual(rho_ab, sigma_ab, dims, alphas),
-            necessary2=necessary2_residual(rho_ab, sigma_ab, dims),
-            dpi_gap=dpi_gap(rho_ab, sigma_ab, ch, alphas),
-        )
+        recovery = recovery_error(rho_ab, sigma_ab, dims)
+        try:
+            families = _order_families(rho_ab, sigma_ab, dims, ch, alphas, betas)
+        except (RenyiDpiError, ValueError, np.linalg.LinAlgError):
+            # A stack's error names a slice of the grid, and comes from
+            # the first family that fails at any order. Re-run the grid
+            # order by order, so the error raised is that of the first
+            # failing order, worded as its scalar call words it.
+            for alpha, row in zip(alphas.tolist(), betas):
+                _order_families(rho_ab, sigma_ab, dims, ch, alpha, row)
+            raise
+        return cls(rho_ab=rho_ab, sigma_ab=sigma_ab, dims=dims, channel=ch, compression=ci,
+                   commutator=commutator / (dims[0] * dims[1]), recovery_error=recovery,
+                   alphas=tuple(alphas.tolist()), betas=betas, **families)
+
+
+def _order_families(rho_ab, sigma_ab, dims, ch, alphas, betas) -> dict:
+    # The order-dependent diagnostics (and necessary2), at one order or
+    # stacked over a grid, in the order a report evaluates them.
+    return {
+        "t3": t3_residual(rho_ab, sigma_ab, ch, alphas, betas),
+        "petz_beta": petz_beta_residual(rho_ab, sigma_ab, dims, betas),
+        "t1": t1_residual(rho_ab, sigma_ab, ch, alphas),
+        "t1_geo": t1_geo_residual(rho_ab, sigma_ab, dims, alphas),
+        "necessary1": necessary1_residual(rho_ab, sigma_ab, dims, alphas),
+        "necessary2": necessary2_residual(rho_ab, sigma_ab, dims),
+        "dpi_gap": dpi_gap(rho_ab, sigma_ab, ch, alphas),
+    }
 
 
 def full_report(ctx: SaturationContext, order) -> ResidualReport:
@@ -520,11 +531,11 @@ def full_report(ctx: SaturationContext, order) -> ResidualReport:
     t3_vals = tuple(ctx.t3[i].tolist())
     pb_vals = tuple(ctx.petz_beta[i].tolist())
     residuals = {
-        "t1": float(ctx.t1[i]),
-        "t1_geo": float(ctx.t1_geo[i]),
+        "t1": ctx.t1[i],
+        "t1_geo": ctx.t1_geo[i],
         "t3": max(t3_vals),
         "petz_beta": max(pb_vals),
-        "necessary1": float(ctx.necessary1[i]),
+        "necessary1": ctx.necessary1[i],
         "necessary2": ctx.necessary2,
         "commutator": ctx.commutator,
         "dpi_gap": max(float(ctx.dpi_gap[i]), 0.0),

@@ -94,7 +94,10 @@ def frobenius(a: np.ndarray):
 
     A stack's norms come from the same BLAS dot products of the real and
     imaginary parts that np.linalg.norm uses on one matrix, so each entry
-    equals the norm of its slice bit for bit.
+    equals the norm of its slice bit for bit. One matrix or vector goes
+    to np.linalg.norm itself: the stack route costs ~4 us more per call
+    (7-8 us against 4 us at d = 2 to 16), and the scalar scans of the
+    closed-form-mix workload make ~4.4 such calls per row.
     """
     if getattr(a, "ndim", 0) <= 2:
         return float(np.linalg.norm(a))
@@ -191,11 +194,9 @@ class SpectralDecomposition:
         if z.shape[:nb] != self.eigenvalues.shape[:-1]:
             raise ValueError(f"exponents of shape {z.shape} do not lead with the "
                              f"stack shape {self.eigenvalues.shape[:-1]}")
-        if nb and z.ndim > nb:  # unit axes in w for the exponent axes K
-            lead = self.eigenvalues.shape[:-1] + (1,) * (z.ndim - nb) + (-1,)
-            out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex), z[..., None]))
-        else:
-            out = self.apply(lambda w: np.power(w.astype(complex), z[..., None] if z.ndim else z))
+        # Unit axes in w for the exponent axes K.
+        lead = self.eigenvalues.shape[:-1] + (1,) * (z.ndim - nb) + (-1,)
+        out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex), z[..., None]))
         exponents = z.ravel().tolist()
         real = [e.imag == 0.0 for e in exponents]
         if all(real):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from renyidpi import (
+    CompressionIsometry,
     DensityMatrix,
     DimensionMismatch,
     InvalidAlpha,
+    NotPositiveDefinite,
     RECOVERABLE_KINDS,
+    RelativeModularOperator,
     RenyiOrder,
     SingularOutputState,
     alpha_recover,
@@ -18,6 +21,7 @@ from renyidpi import (
     full_report,
     geometric_mean,
     identity_channel,
+    jensen_commutator_norm,
     mutual_implication_ok,
     necessary1_residual,
     necessary2_residual,
@@ -62,14 +66,33 @@ class TestEigensolveCount:
 
     def test_recovery_error_reuses_the_reduced_state(self, monkeypatch):
         # The certificate of a recoverable triple builds Tr_B(sigma_AB)
-        # once; recomputing the recovery error, as the context does,
-        # needs no further eigensolve. (The context's per-order families
-        # do need eigensolves, so only the recomputation is counted.)
-        rho_ab, sigma_ab = build_recoverable_triple("blocked", (2, 2), 62)
+        # once; every alpha-independent step of the context build,
+        # recomputing the recovery error included, needs no further
+        # eigensolve, so the build's eigensolves are exactly those of the
+        # stacked per-order families called alone on an identical triple.
+        dims, orders = (2, 2), (-0.5, 0.3, 0.9)
+        rho_ab, sigma_ab = build_recoverable_triple("blocked", dims, 62)
+        twin_rho, twin_sigma = build_recoverable_triple("blocked", dims, 62)
         calls = counting(monkeypatch, np.linalg, "eigh")
-        err = recovery_error(rho_ab, sigma_ab, (2, 2))
+        partial_trace_channel(*dims)
+        ci = CompressionIsometry(rho_ab, *dims)
+        jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
+        err = recovery_error(rho_ab, sigma_ab, dims)
+        necessary2_residual(rho_ab, sigma_ab, dims)
         assert calls == []
-        ctx = SaturationContext.build(rho_ab, sigma_ab, (2, 2), 0.5)
+
+        alphas = np.array(orders)
+        betas = np.array([default_beta_grid(a) for a in orders])
+        ch = partial_trace_channel(*dims)
+        t3_residual(twin_rho, twin_sigma, ch, alphas, betas)
+        petz_beta_residual(twin_rho, twin_sigma, dims, betas)
+        t1_residual(twin_rho, twin_sigma, ch, alphas)
+        t1_geo_residual(twin_rho, twin_sigma, dims, alphas)
+        necessary1_residual(twin_rho, twin_sigma, dims, alphas)
+        dpi_gap(twin_rho, twin_sigma, ch, alphas)
+        families = len(calls)
+        ctx = SaturationContext.build(rho_ab, sigma_ab, dims, orders)
+        assert len(calls) - families == families
         assert ctx.recovery_error == err
 
     def test_no_superoperator_sized_kron_at_4x4(self, monkeypatch):
@@ -209,6 +232,23 @@ class TestOrderStacks:
         one = len(calls)
         SaturationContext.build(rho, sigma, (2, 2), DEFAULT_ALPHA_GRID)
         assert len(calls) - one == one
+
+    def test_a_failing_order_raises_as_its_scalar_call(self):
+        # At alpha < 0 the middle factor sigma^(-a/2) rho sigma^(-a/2) of
+        # this commuting pair falls below the positivity floor; at alpha
+        # > 0 it does not. The context raises the error of the first
+        # failing order's first family, worded as the scalar call words
+        # it, without naming a slice of the stack.
+        rho = DensityMatrix(np.diag([0.4, 0.3, 0.3 - 4e-10, 4e-10]).astype(complex))
+        sigma = DensityMatrix(np.diag([0.4, 0.3, 0.3 - 1e-3, 1e-3]).astype(complex))
+        ch = partial_trace_channel(2, 2)
+        SaturationContext.build(rho, sigma, (2, 2), (0.3, 0.5))
+        with pytest.raises(NotPositiveDefinite) as scalar:
+            t3_residual(rho, sigma, ch, -0.5, default_beta_grid(-0.5))
+        with pytest.raises(NotPositiveDefinite) as stacked:
+            SaturationContext.build(rho, sigma, (2, 2), (0.5, -0.5, -1.0))
+        assert str(stacked.value) == str(scalar.value)
+        assert "slice" not in str(stacked.value)
 
     def test_order_outside_the_grid_is_rejected(self):
         rho, sigma = random_pair(4, 74)
