@@ -189,20 +189,22 @@ class SpectralDecomposition:
         row of exponents per slice for a stack. The result has shape
         (*B, *K, d, d), each slice equal to the scalar call on its matrix.
         """
-        z = np.asarray(z, dtype=complex)
         nb = self.eigenvalues.ndim - 1
+        if not nb and isinstance(z, (int, float, complex, np.number)):
+            # One matrix, one exponent: z stays a scalar, because np.power
+            # against an exponent array costs a few us more per call, and
+            # the closed-form scans make many such calls per row.
+            if complex(z) == 0.0:
+                return np.eye(len(self.eigenvalues), dtype=complex)
+            out = self.apply(lambda w: np.power(w.astype(complex), z))
+            return herm_part(out) if complex(z).imag == 0.0 else out
+        z = np.asarray(z, dtype=complex)
         if z.shape[:nb] != self.eigenvalues.shape[:-1]:
             raise ValueError(f"exponents of shape {z.shape} do not lead with the "
                              f"stack shape {self.eigenvalues.shape[:-1]}")
-        if nb and z.ndim > nb:  # unit axes in w for the exponent axes K
-            lead = self.eigenvalues.shape[:-1] + (1,) * (z.ndim - nb) + (-1,)
-            out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex), z[..., None]))
-        else:
-            # The same powers; a 0-d exponent stays 0-d, because np.power
-            # against a broadcast (1,) exponent costs ~2.5 us more per
-            # scalar call (13.4 against 16.0 us per power at d = 4), and
-            # the closed-form scans make many scalar calls per row.
-            out = self.apply(lambda w: np.power(w.astype(complex), z[..., None] if z.ndim else z))
+        # Unit axes in w for the exponent axes K.
+        lead = self.eigenvalues.shape[:-1] + (1,) * (z.ndim - nb) + (-1,)
+        out = self.apply(lambda w: np.power(w.reshape(lead).astype(complex), z[..., None]))
         exponents = z.ravel().tolist()
         real = [e.imag == 0.0 for e in exponents]
         if all(real):
