@@ -120,6 +120,8 @@ class ExperimentConfig:
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigInvalid(f"unknown scenario {self.scenario!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
         if len(self.dims) != 2 or any(int(d) < 2 for d in self.dims):
@@ -132,9 +134,10 @@ class ExperimentConfig:
         if not grid:
             raise ConfigInvalid("alpha_grid is empty")
         self.alpha_grid = grid
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances or {})
-        self.tolerances = tol
+        unknown = set(self.tolerances or {}) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigInvalid(f"unknown tolerance names {sorted(unknown)}")
+        self.tolerances = {**DEFAULT_TOLERANCES, **(self.tolerances or {})}
         if (self.rho is None) != (self.sigma is None):
             raise ConfigInvalid("rho and sigma must be supplied together")
         return self
@@ -152,15 +155,10 @@ def _divergence_rows(cfg, trial, rng):
         rho = random_density(cfg.dims[0], rng)
         sigma = random_density(cfg.dims[0], rng)
     d_rel = relative_entropy(rho, sigma)
-    rows = []
-    for alpha in cfg.alpha_grid:
-        rows.append(ScanRow(
-            trial=trial, alpha=alpha,
-            d_sand=sandwiched_renyi(rho, sigma, alpha),
-            d_petz=petz_renyi(rho, sigma, alpha),
-            d_rel=d_rel,
-        ))
-    return rows
+    d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
+    d_petz = petz_renyi(rho, sigma, cfg.alpha_grid)
+    return [ScanRow(trial=trial, alpha=alpha, d_sand=s, d_petz=p, d_rel=d_rel)
+            for alpha, s, p in zip(cfg.alpha_grid, d_sand, d_petz)]
 
 
 def _dpi_rows(cfg, trial, rng):
@@ -174,12 +172,9 @@ def _dpi_rows(cfg, trial, rng):
     else:
         ch = random_channel(dim, d_a, rng_seed=rng)
     tol = cfg.tolerances["dpi"]
-    rows = []
-    for alpha in cfg.alpha_grid:
-        gap = dpi_gap(rho, sigma, ch, alpha)
-        rows.append(ScanRow(trial=trial, alpha=alpha, dpi_gap=gap,
-                            dpi_ok=gap >= -tol))
-    return rows
+    gaps = dpi_gap(rho, sigma, ch, cfg.alpha_grid)
+    return [ScanRow(trial=trial, alpha=alpha, dpi_gap=gap, dpi_ok=gap >= -tol)
+            for alpha, gap in zip(cfg.alpha_grid, gaps)]
 
 
 def _report_rows(cfg, trial, rho_ab, sigma_ab):
@@ -225,16 +220,16 @@ def _variational_rows(cfg, trial, rng):
     tol_v = cfg.tolerances["variational_value"]
     tol_s = cfg.tolerances["variational_state"]
     opt_cfg = OptimizerConfig(restarts=cfg.restarts, seed=0)
+    d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
     rows = []
-    for alpha in cfg.alpha_grid:
+    for alpha, sand in zip(cfg.alpha_grid, d_sand):
         closed = closed_form_optimizer(rho, sigma, alpha)
         value, omega_hat = variational_value(rho, sigma, alpha, opt_cfg)
         gap = abs(value - closed.value)
         dist = trace_distance(omega_hat.matrix, closed.omega_star.matrix)
         rows.append(ScanRow(
             trial=trial, alpha=alpha,
-            d_sand=sandwiched_renyi(rho, sigma, alpha),
-            dpi_gap=gap, recovery_err=dist,
+            d_sand=sand, dpi_gap=gap, recovery_err=dist,
             dpi_ok=gap <= tol_v and dist <= tol_s,
         ))
     return rows

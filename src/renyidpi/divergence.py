@@ -47,6 +47,15 @@ NEAR_EQUAL_TOL = 1e-12
 # [-1,0) u (0,1) interval.
 ALPHA_VARIATIONAL_MIN = 1e-3
 
+# Compass search schedule (see _pattern_search): the starting poll radius,
+# its decay after a poll without improvement, the radius floor, and the
+# window and relative tolerance of the stalled-score test.
+SEARCH_INITIAL_STEP = 0.25
+SEARCH_STEP_DECAY = 0.5
+SEARCH_MIN_STEP = 1e-7
+SEARCH_VALUE_WINDOW = 50
+SEARCH_VALUE_RTOL = 1e-10
+
 # Double-exponential rule of integral_power_quadrature: the trapezoid step
 # in v, and the range cut where the integrand has decayed by e^-QUAD_TAIL.
 QUAD_STEP = 0.07
@@ -76,12 +85,17 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
         return np.zeros(a.shape) if a.ndim else 0.0
     y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
     w = np.maximum(np.linalg.eigvalsh(y), 0.0)
-    # The closing sum runs one order at a time, on Python floats: numpy
-    # evaluates a scalar exponent of 2 or 1/2 as a square or a square
-    # root, which an array of exponents does not reproduce bit for bit.
+    return _per_order(_sandwiched_from_spectrum, w, a)
+
+
+def _per_order(close, values, a):
+    # Apply close(value, alpha) to each order's slice of values, one order
+    # at a time on Python floats: numpy evaluates a scalar exponent of 2
+    # or 1/2 as a square or a square root, which an array of exponents
+    # does not reproduce bit for bit.
     if not a.ndim:
-        return _sandwiched_from_spectrum(w, float(a))
-    return np.array([_sandwiched_from_spectrum(row, alpha) for row, alpha in zip(w, a.tolist())])
+        return close(values, float(a))
+    return np.array([close(v, alpha) for v, alpha in zip(values, a.tolist())])
 
 
 def _sandwiched_from_spectrum(w: np.ndarray, a: float) -> float:
@@ -92,19 +106,19 @@ def _sandwiched_from_spectrum(w: np.ndarray, a: float) -> float:
     return float((1.0 - a) / a * (n * np.log(w[-1]) + np.log(np.sum((w / w[-1]) ** n))))
 
 
-def petz_renyi(rho: DensityMatrix, sigma: DensityMatrix, order) -> float:
+def petz_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
     """Petz Renyi divergence (1/alpha) log Tr[rho^(1+alpha) sigma^-alpha].
 
     On commuting inputs this is the classical Renyi divergence of order
-    1 + alpha.
+    1 + alpha. A 1-D array of orders gives the array of divergences, each
+    equal to the scalar call.
     """
-    order = as_order(order)
+    a = order_array(order)
     _check_pair(rho, sigma)
     if _states_equal(rho, sigma):
-        return 0.0
-    a = order.alpha
-    val = np.trace(rho.power(1.0 + a) @ sigma.power(-a)).real
-    return float(np.log(val) / a)
+        return np.zeros(a.shape) if a.ndim else 0.0
+    val = np.trace(rho.power(1.0 + a) @ sigma.power(-a), axis1=-2, axis2=-1).real
+    return _per_order(lambda v, alpha: float(np.log(v) / alpha), val, a)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -182,24 +196,12 @@ class OptimizerConfig:
 
     restarts      number of starting points: the identity, then Ginibre
                   draws from stream(seed); they run in lockstep.
-    initial_step  poll radius at the start of each restart.
-    step_decay    factor applied to a restart's radius after a poll that
-                  finds no improving move.
-    min_step      a restart whose radius falls below this has converged.
     max_sweeps    cap on poll iterations.
-    value_window  a restart whose score moved by less than
-    value_rtol    value_rtol * max(|score|, 1) over the last value_window
-                  polls has converged.
     seed          seed of the restart stream.
     """
 
     restarts: int = 8
-    initial_step: float = 0.25
-    step_decay: float = 0.5
-    min_step: float = 1e-7
     max_sweeps: int = 5000
-    value_window: int = 50
-    value_rtol: float = 1e-10
     seed: int = 0
 
 
@@ -240,7 +242,7 @@ def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig
     moves = np.stack([units, -units], axis=1).reshape(-1, d, d)
     g = g0.astype(complex)
     best = score(g)
-    step = np.full(r, cfg.initial_step)
+    step = np.full(r, SEARCH_INITIAL_STEP)
     converged = np.zeros(r, dtype=bool)
     history = [best.copy()]
     for _ in range(cfg.max_sweeps):
@@ -255,12 +257,12 @@ def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig
         g[idx[up]] = trial[up, pick[up]]
         best[idx[up]] = top[up]
         stuck = idx[~up]
-        step[stuck] *= cfg.step_decay
-        converged[stuck[step[stuck] < cfg.min_step]] = True
+        step[stuck] *= SEARCH_STEP_DECAY
+        converged[stuck[step[stuck] < SEARCH_MIN_STEP]] = True
         history.append(best.copy())
-        if len(history) > cfg.value_window:
-            old = history[-cfg.value_window - 1]
-            converged |= np.abs(best - old) < cfg.value_rtol * np.maximum(np.abs(best), 1.0)
+        if len(history) > SEARCH_VALUE_WINDOW:
+            old = history[-SEARCH_VALUE_WINDOW - 1]
+            converged |= np.abs(best - old) < SEARCH_VALUE_RTOL * np.maximum(np.abs(best), 1.0)
     return g, best, converged
 
 

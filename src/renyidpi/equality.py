@@ -62,6 +62,11 @@ from .divergence import closed_form_optimizer, dpi_gap
 
 SATURATION_TOL = 1e-8
 
+# mutual_implication_ok counts a quantity at most IMPLICATION_GAP_TOL as
+# vanished, and one above IMPLICATION_RESIDUAL_TOL as not.
+IMPLICATION_GAP_TOL = 1e-9
+IMPLICATION_RESIDUAL_TOL = 1e-7
+
 # Spectra of constructed saturating triples are kept moderate (eigenvalue
 # spread of a few) because the beta-grid conditions raise states to powers
 # as large as 1/(alpha-1) ~ 10, which amplifies roundoff far beyond the
@@ -312,11 +317,11 @@ def weighted_modular_pair(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
             RelativeModularOperator(sigma_a, omega_a))
 
 
-def _tempered_density(dim: int, rng: np.random.Generator, mix: float = TRIPLE_MIX) -> DensityMatrix:
+def _tempered_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     g = ginibre(rng, dim, dim)
     rho = g @ dagger(g)
     rho = rho / np.trace(rho).real
-    rho = (rho + mix * np.eye(dim) / dim) / (1.0 + mix)
+    rho = (rho + TRIPLE_MIX * np.eye(dim) / dim) / (1.0 + TRIPLE_MIX)
     return DensityMatrix(rho)
 
 
@@ -544,8 +549,7 @@ def full_report(ctx: SaturationContext, order) -> ResidualReport:
                           residuals=residuals, t3_by_beta=t3_vals, petz_beta_by_beta=pb_vals)
 
 
-def mutual_implication_ok(report: ResidualReport, gap_tol: float = 1e-9,
-                          residual_tol: float = 1e-7) -> bool:
+def mutual_implication_ok(report: ResidualReport) -> bool:
     """Check that the gap and the power-family residuals vanish together.
 
     A vanishing gap must force every saturation-equivalent residual
@@ -557,8 +561,8 @@ def mutual_implication_ok(report: ResidualReport, gap_tol: float = 1e-9,
     gap = report.residuals["dpi_gap"]
     others = max(v for k, v in report.residuals.items()
                  if k not in ("dpi_gap", "commutator"))
-    if gap <= gap_tol and others > residual_tol:
+    if gap <= IMPLICATION_GAP_TOL and others > IMPLICATION_RESIDUAL_TOL:
         return False
-    if report.residuals["t3"] <= gap_tol and gap > residual_tol:
+    if report.residuals["t3"] <= IMPLICATION_GAP_TOL and gap > IMPLICATION_RESIDUAL_TOL:
         return False
     return True

@@ -96,8 +96,9 @@ def frobenius(a: np.ndarray):
     imaginary parts that np.linalg.norm uses on one matrix, so each entry
     equals the norm of its slice bit for bit. One matrix or vector goes
     to np.linalg.norm itself: the stack route costs ~4 us more per call
-    (7-8 us against 4 us at d = 2 to 16), and the scalar scans of the
-    closed-form-mix workload make ~4.4 such calls per row.
+    (7-8 us against 4 us at d = 2 to 16), and the one-matrix checks (every
+    DensityMatrix construction, Hermiticity check and Kraus validation)
+    make such a call each.
     """
     if getattr(a, "ndim", 0) <= 2:
         return float(np.linalg.norm(a))
@@ -190,14 +191,6 @@ class SpectralDecomposition:
         (*B, *K, d, d), each slice equal to the scalar call on its matrix.
         """
         nb = self.eigenvalues.ndim - 1
-        if not nb and isinstance(z, (int, float, complex, np.number)):
-            # One matrix, one exponent: z stays a scalar, because np.power
-            # against an exponent array costs a few us more per call, and
-            # the closed-form scans make many such calls per row.
-            if complex(z) == 0.0:
-                return np.eye(len(self.eigenvalues), dtype=complex)
-            out = self.apply(lambda w: np.power(w.astype(complex), z))
-            return herm_part(out) if complex(z).imag == 0.0 else out
         z = np.asarray(z, dtype=complex)
         if z.shape[:nb] != self.eigenvalues.shape[:-1]:
             raise ValueError(f"exponents of shape {z.shape} do not lead with the "

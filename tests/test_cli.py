@@ -6,6 +6,7 @@ import pytest
 from renyidpi import ConfigInvalid, equality, matrix_to_json
 from renyidpi.cli import (
     CSV_COLUMNS,
+    DEFAULT_ALPHA_GRID,
     ExperimentConfig,
     ScanRow,
     emit,
@@ -108,6 +109,17 @@ class TestAlphaIndependentWork:
         assert len(cfg.alpha_grid) == 10 and len(rows) == 30
         assert len(compressions) == len(commutators) == 3
 
+    def test_dpi_scan_eigensolves_do_not_grow_with_the_grid(self, monkeypatch):
+        # One dpi_gap call per trial over the whole grid: the Kraus trial's
+        # output states are built and decomposed once, not once per alpha.
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        counts = []
+        for grid in ((0.5,), DEFAULT_ALPHA_GRID):
+            eighs.clear()
+            run(ExperimentConfig(scenario="dpi-scan", seed=3, trials=2, alpha_grid=grid))
+            counts.append(len(eighs))
+        assert len(DEFAULT_ALPHA_GRID) == 10 and counts[0] == counts[1] > 0
+
 
 class TestEmit:
     def test_empty_rows_header_only(self, tmp_path):
@@ -199,6 +211,9 @@ class TestMain:
         ({"beta_grid": [1]}, []),
         ([0.5, 0.5], []),
         (None, ["--dims", "2xz"]),
+        (None, ["--seed", "-1"]),
+        ({"seed": -3}, []),
+        ({"tolerances": {"saturaton": 1e-30}}, []),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
         argv = ["equality-scan", "--trials", "1", *flags]

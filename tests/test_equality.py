@@ -29,6 +29,7 @@ from renyidpi import (
     partial_trace_channel,
     petz_beta_residual,
     petz_recover,
+    petz_renyi,
     random_channel,
     random_density,
     recovery_error,
@@ -177,6 +178,7 @@ class TestOrderStacks:
                 "necessary1": lambda a: necessary1_residual(rho, sigma, dims, a),
                 "dpi_gap": lambda a: dpi_gap(rho, sigma, ch, a),
                 "sandwiched": lambda a: sandwiched_renyi(rho, sigma, a),
+                "petz": lambda a: petz_renyi(rho, sigma, a),
             }
             stacked = {
                 "t1": t1_residual(rho, sigma, ch, alphas),
@@ -184,6 +186,7 @@ class TestOrderStacks:
                 "necessary1": necessary1_residual(rho, sigma, dims, alphas),
                 "dpi_gap": dpi_gap(rho, sigma, ch, alphas),
                 "sandwiched": sandwiched_renyi(rho, sigma, alphas),
+                "petz": petz_renyi(rho, sigma, alphas),
             }
             for name, values in stacked.items():
                 want = np.array([scalar[name](a) for a in self.ORDERS])

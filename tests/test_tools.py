@@ -35,3 +35,21 @@ def test_compare_separates_roundoff_from_verdicts():
     assert tool.compare(old, flipped).verdict
     errored = {"s": {"csv": header + "0,0.5,1.0,True\n", "summary": {"errors": [{"trial": 0}]}}}
     assert tool.compare(old, errored).verdict
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # The traced benchmark wraps these names; a rename in the package
+    # would otherwise surface only as a failed traced run.
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(mod, name) for mod, listed in tracer.SPANNED.items() for name in listed]
+    names.append(("linalg", tracer.APPLY))
+    for mod_name, name in names:
+        module = importlib.import_module(f"renyidpi.{mod_name}")
+        owner, _, method = name.partition(".")
+        assert hasattr(module, owner), f"{mod_name}.{owner}"
+        if not method and isinstance(getattr(module, owner), type):
+            method = "__init__"
+        if method:
+            assert method in vars(getattr(module, owner)), f"{mod_name}.{name}"
