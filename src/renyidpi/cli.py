@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, InvalidAlpha, IoFailure, RenyiDpiError
+from .errors import (ConfigInvalid, DimensionMismatch, InvalidAlpha, IoFailure,
+                     NotPositiveDefinite, RenyiDpiError)
 from .linalg import as_order, matrix_from_json, trace_distance
 from .quantum import DensityMatrix, partial_trace_channel, random_channel, random_density, stream
 from .divergence import (
@@ -140,6 +141,23 @@ class ExperimentConfig:
         self.tolerances = {**DEFAULT_TOLERANCES, **(self.tolerances or {})}
         if (self.rho is None) != (self.sigma is None):
             raise ConfigInvalid("rho and sigma must be supplied together")
+        if self.rho is not None:
+            if self.scenario != "divergence":
+                raise ConfigInvalid(
+                    f"rho and sigma are read only by divergence, not {self.scenario}")
+            for name, m in (("rho", self.rho), ("sigma", self.sigma)):
+                try:
+                    DensityMatrix(m)
+                except NotPositiveDefinite:
+                    pass  # a state below the floor: its trials fail and are recorded
+                except (RenyiDpiError, ValueError) as exc:
+                    raise ConfigInvalid(f"{name} is not a density matrix: {exc}") from exc
+            if np.shape(self.rho) != np.shape(self.sigma):
+                raise ConfigInvalid(f"rho and sigma differ in shape: {np.shape(self.rho)} "
+                                    f"and {np.shape(self.sigma)}")
+        if self.beta_grid is not None and self.scenario not in ("equality-scan", "recovery-test"):
+            raise ConfigInvalid(f"beta_grid is read only by equality-scan and recovery-test, "
+                                f"not {self.scenario}")
         return self
 
 
@@ -239,12 +257,9 @@ def _integral_rows(cfg, trial, rng):
     # Positive-definite test matrix with eigenvalues of order one.
     m = random_density(cfg.dims[0], rng).matrix * cfg.dims[0]
     tol = cfg.tolerances["integral"]
-    rows = []
-    for alpha in cfg.alpha_grid:
-        resid = integral_representation_check(m, alpha)
-        rows.append(ScanRow(trial=trial, alpha=alpha, dpi_gap=resid,
-                            dpi_ok=resid <= tol))
-    return rows
+    resids = integral_representation_check(m, cfg.alpha_grid)
+    return [ScanRow(trial=trial, alpha=alpha, dpi_gap=resid, dpi_ok=resid <= tol)
+            for alpha, resid in zip(cfg.alpha_grid, resids)]
 
 
 _SCENARIO_RUNNERS = {

@@ -360,7 +360,11 @@ def integral_power_quadrature(m: np.ndarray, alpha: float) -> np.ndarray:
     return herm_part(acc)
 
 
-def integral_representation_check(m: np.ndarray, alpha: float) -> float:
-    """Frobenius distance between the quadrature power and the spectral power."""
-    quad = integral_power_quadrature(m, alpha)
-    return frobenius(quad - matrix_power_psd(m, alpha))
+def integral_representation_check(m: np.ndarray, alpha):
+    """Frobenius distance between the quadrature power and the spectral power;
+    for a 1-D array of orders, the array of distances, each equal to the scalar
+    call. The quadrature runs order by order, then one eigensolve of m gives
+    every spectral power."""
+    alphas = np.asarray(alpha, dtype=float)
+    quad = np.array([integral_power_quadrature(m, a) for a in alphas.ravel().tolist()])
+    return frobenius(quad.reshape(alphas.shape + quad.shape[-2:]) - matrix_power_psd(m, alphas))

@@ -349,10 +349,13 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
     if d_a < 2 or d_b < 2:
         raise DimensionMismatch(f"dims must be at least 2, got {dims}")
     rng = stream(rng_seed)
-    if kind == "product":
+    if kind in ("product", "conjugated-product"):
         tau = _tempered_density(d_b, rng)
         rho_ab = np.kron(_tempered_density(d_a, rng).matrix, tau.matrix)
         sigma_ab = np.kron(_tempered_density(d_a, rng).matrix, tau.matrix)
+        if kind == "conjugated-product":
+            u = lift_b(random_unitary(d_a, rng), d_b)
+            rho_ab, sigma_ab = u @ rho_ab @ dagger(u), u @ sigma_ab @ dagger(u)
     elif kind == "blocked":
         sizes = (d_a - d_a // 2, d_a // 2)
         w = _block_weights(rng)
@@ -368,13 +371,6 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
             offset += size
         rho_ab = np.kron(rho_a, tau.matrix)
         sigma_ab = np.kron(sigma_a, tau.matrix)
-    elif kind == "conjugated-product":
-        tau = _tempered_density(d_b, rng)
-        base_r = np.kron(_tempered_density(d_a, rng).matrix, tau.matrix)
-        base_s = np.kron(_tempered_density(d_a, rng).matrix, tau.matrix)
-        u = np.kron(random_unitary(d_a, rng), np.eye(d_b))
-        rho_ab = u @ base_r @ dagger(u)
-        sigma_ab = u @ base_s @ dagger(u)
     else:
         raise ValueError(f"kind must be one of {RECOVERABLE_KINDS}, got {kind!r}")
     pair = DensityMatrix(rho_ab), DensityMatrix(sigma_ab)
@@ -441,11 +437,9 @@ class SaturationContext:
     """Every saturation diagnostic of one triple (rho_AB, sigma_AB, Tr_B)
     over a grid of orders, computed once by `build`.
 
-    channel is Tr_B; its outputs are the states' cached reduced states, so
-    no residual rebuilds them. compression is the isometry U of the
-    split, commutator the Jensen commutator norm divided by d_A * d_B,
-    and recovery_error the Petz recovery error from the reduced state;
-    these and necessary2 do not depend on the order.
+    commutator is the Jensen commutator norm of the compression isometry
+    divided by d_A * d_B, and recovery_error the Petz recovery error from
+    the reduced state; these and necessary2 do not depend on the order.
 
     alphas is the order grid and betas its (n_alpha, n_beta) beta grid,
     one row per order. Each order-dependent family was evaluated once,
@@ -454,11 +448,6 @@ class SaturationContext:
     have shape (n_alpha,). Row i of every array belongs to alphas[i].
     """
 
-    rho_ab: DensityMatrix
-    sigma_ab: DensityMatrix
-    dims: tuple[int, int]
-    channel: KrausChannel
-    compression: CompressionIsometry
     commutator: float
     recovery_error: float
     alphas: tuple[float, ...]
@@ -500,8 +489,7 @@ class SaturationContext:
             for alpha, row in zip(alphas.tolist(), betas):
                 _order_families(rho_ab, sigma_ab, dims, ch, alpha, row)
             raise
-        return cls(rho_ab=rho_ab, sigma_ab=sigma_ab, dims=dims, channel=ch, compression=ci,
-                   commutator=commutator / (dims[0] * dims[1]), recovery_error=recovery,
+        return cls(commutator=commutator / (dims[0] * dims[1]), recovery_error=recovery,
                    alphas=tuple(alphas.tolist()), betas=betas, **families)
 
 

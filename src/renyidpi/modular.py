@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateWeight, DimensionMismatch, SingularResolvent
-from .linalg import as_order, dagger, frobenius, herm_part, hermitian_eig, partial_trace, vectorize
+from .linalg import as_order, dagger, frobenius, herm_part, hermitian_eig, lift_b, vectorize
 from .quantum import DensityMatrix, PurifiedState
 
 # Eigenvalues of a compressed operator below this cutoff are treated as
@@ -122,16 +122,11 @@ class CompressionIsometry:
         self.d_a, self.d_b = int(d_a), int(d_b)
         self.rho_ab = rho_ab
         self.rho_a = rho_ab.reduced((d_a, d_b))
-        r_ab_half = rho_ab.sqrt()
-        r_a_mhalf = self.rho_a.power(-0.5)
-        eye_b = np.eye(d_b, dtype=complex)
-        cols = []
-        for k in range(d_a):
-            for l in range(d_a):
-                e = np.zeros((d_a, d_a), dtype=complex)
-                e[k, l] = 1.0
-                cols.append(vectorize(np.kron(e @ r_a_mhalf, eye_b) @ r_ab_half))
-        self.matrix = np.column_stack(cols)
+        # Column k d_A + l is the row-major vector of
+        # (E_kl rho_A^{-1/2} otimes I_B) rho_AB^{1/2}, E_kl the unit matrix.
+        units = np.eye(d_a * d_a, dtype=complex).reshape(-1, d_a, d_a)
+        images = lift_b(units @ self.rho_a.power(-0.5), d_b) @ rho_ab.sqrt()
+        self.matrix = np.ascontiguousarray(images.reshape(d_a * d_a, -1).T)
         self.matrix.setflags(write=False)
 
     @property
@@ -167,9 +162,9 @@ def compression_identity_residual(ci: CompressionIsometry, sigma_ab: DensityMatr
     scale = float(np.trace(w @ ci.rho_a.matrix).real)
     r_ab_mhalf = ci.rho_ab.power(-0.5)
     r_a_mhalf = ci.rho_a.power(-0.5)
-    om_ab_inv = scale * (r_ab_mhalf @ np.kron(w_inv, np.eye(ci.d_b)) @ r_ab_mhalf)
+    om_ab_inv = scale * (r_ab_mhalf @ lift_b(w_inv, ci.d_b) @ r_ab_mhalf)
     om_a_inv = scale * (r_a_mhalf @ w_inv @ r_a_mhalf)
-    sigma_a = partial_trace(sigma_ab.matrix, (ci.d_a, ci.d_b), "B")
+    sigma_a = sigma_ab.reduced((ci.d_a, ci.d_b)).matrix
     big = np.kron(sigma_ab.matrix, om_ab_inv.T)
     small = np.kron(sigma_a, om_a_inv.T)
     u = ci.matrix

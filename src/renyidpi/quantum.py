@@ -8,6 +8,7 @@ kept in Kraus form with Stinespring dilations derived on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .linalg import (
     frobenius,
     herm_part,
     hermitian_eig,
+    lift_b,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -201,17 +203,13 @@ class StinespringIsometry:
 
     def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
         v = self.isometry
-        return dagger(v) @ np.kron(a, np.eye(self.env_dim)) @ v
+        return dagger(v) @ lift_b(a, self.env_dim) @ v
 
 
 def stinespring_dilate(ch: KrausChannel) -> StinespringIsometry:
     """Stack the Kraus family into an isometry V = sum_e K_e otimes |e>."""
     env = len(ch.kraus_ops)
-    v = np.zeros((ch.out_dim * env, ch.in_dim), dtype=complex)
-    for e, k in enumerate(ch.kraus_ops):
-        basis = np.zeros((env, 1), dtype=complex)
-        basis[e, 0] = 1.0
-        v += np.kron(k, basis)
+    v = np.stack(ch.kraus_ops, axis=1).reshape(ch.out_dim * env, ch.in_dim)
     if frobenius(dagger(v) @ v - np.eye(ch.in_dim)) > CHANNEL_TOL:
         raise ValueError("dilation failed the isometry check")
     return StinespringIsometry(isometry=v, out_dim=ch.out_dim, env_dim=env)
@@ -221,16 +219,16 @@ def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel((np.eye(dim, dtype=complex),))
 
 
+@lru_cache(maxsize=None)
 def partial_trace_channel(d_a: int, d_b: int) -> KrausChannel:
     """The channel Tr_B on A (x) B, with Kraus operators I_A otimes <j|.
 
-    Its apply_density returns the cached DensityMatrix.reduced state.
+    Built once per (d_A, d_B), with read-only Kraus arrays. Its
+    apply_density returns the cached DensityMatrix.reduced state.
     """
-    ops = []
-    for j in range(d_b):
-        bra = np.zeros((1, d_b), dtype=complex)
-        bra[0, j] = 1.0
-        ops.append(np.kron(np.eye(d_a, dtype=complex), bra))
+    # Row i d_B + j of the identity on A (x) B is <i| otimes <j|.
+    ops = np.eye(d_a * d_b, dtype=complex).reshape(d_a, d_b, -1).swapaxes(0, 1).copy()
+    ops.setflags(write=False)
     return KrausChannel(tuple(ops), traced_dims=(int(d_a), int(d_b)))
 
 
@@ -296,8 +294,7 @@ def random_channel(in_dim: int, out_dim: int | None = None, env_dim: int | None 
     out_dim = in_dim if out_dim is None else out_dim
     env_dim = out_dim if env_dim is None else env_dim
     v = random_isometry(out_dim * env_dim, in_dim, rng_seed)
-    blocks = v.reshape(out_dim, env_dim, in_dim)
-    return KrausChannel(tuple(blocks[:, e, :] for e in range(env_dim)))
+    return KrausChannel(tuple(v.reshape(out_dim, env_dim, in_dim).swapaxes(0, 1)))
 
 
 def channel_to_json(ch: KrausChannel) -> dict:

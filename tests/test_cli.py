@@ -109,14 +109,16 @@ class TestAlphaIndependentWork:
         assert len(cfg.alpha_grid) == 10 and len(rows) == 30
         assert len(compressions) == len(commutators) == 3
 
-    def test_dpi_scan_eigensolves_do_not_grow_with_the_grid(self, monkeypatch):
-        # One dpi_gap call per trial over the whole grid: the Kraus trial's
-        # output states are built and decomposed once, not once per alpha.
+    @pytest.mark.parametrize("scenario", ["dpi-scan", "integral-check"])
+    def test_eigensolves_do_not_grow_with_the_grid(self, monkeypatch, scenario):
+        # One library call per trial over the whole grid: dpi-scan builds
+        # and decomposes the Kraus trial's output states once, and
+        # integral-check decomposes its matrix once, not once per alpha.
         eighs = counting(monkeypatch, np.linalg, "eigh")
         counts = []
         for grid in ((0.5,), DEFAULT_ALPHA_GRID):
             eighs.clear()
-            run(ExperimentConfig(scenario="dpi-scan", seed=3, trials=2, alpha_grid=grid))
+            run(ExperimentConfig(scenario=scenario, seed=3, trials=2, alpha_grid=grid))
             counts.append(len(eighs))
         assert len(DEFAULT_ALPHA_GRID) == 10 and counts[0] == counts[1] > 0
 
@@ -214,9 +216,20 @@ class TestMain:
         (None, ["--seed", "-1"]),
         ({"seed": -3}, []),
         ({"tolerances": {"saturaton": 1e-30}}, []),
+        # A config may name its scenario; the subcommand follows it.
+        ({"scenario": "divergence", "rho": matrix_to_json(np.eye(2)),
+          "sigma": matrix_to_json(np.eye(2) / 2)}, []),
+        ({"scenario": "divergence", "rho": matrix_to_json(np.eye(2) / 2),
+          "sigma": matrix_to_json(np.eye(3) / 3)}, []),
+        ({"scenario": "dpi-scan", "rho": matrix_to_json(np.eye(4) / 4),
+          "sigma": matrix_to_json(np.eye(4) / 4)}, []),
+        ({"scenario": "integral-check", "rho": matrix_to_json(np.eye(2) / 2),
+          "sigma": matrix_to_json(np.eye(2) / 2)}, []),
+        ({"scenario": "divergence", "beta_grid": [[1.0, 0.0]]}, []),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
-        argv = ["equality-scan", "--trials", "1", *flags]
+        named = config.get("scenario") if isinstance(config, dict) else None
+        argv = [named or "equality-scan", "--trials", "1", *flags]
         if config is not None:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(config))

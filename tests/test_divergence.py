@@ -521,6 +521,22 @@ class TestIntegralRepresentation:
             ref = matrix_power_psd(m, alpha)
             assert frobenius(integral_power_quadrature(m, alpha) - ref) <= 1e-12 * frobenius(ref)
 
+    def test_grid_equals_scalar_calls_from_one_eigensolve(self, monkeypatch):
+        m = random_density(3, stream(47, 1)).matrix * 3.0
+        grid = np.array(DEFAULT_ALPHA_GRID)
+        scalar = [integral_representation_check(m, alpha) for alpha in DEFAULT_ALPHA_GRID]
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        values = integral_representation_check(m, grid)
+        assert values.shape == grid.shape and len(eighs) == 1
+        assert values.tolist() == scalar
+
+    def test_grid_raises_as_the_first_failing_order(self):
+        # The quadrature runs first, order by order, with its own messages.
+        with pytest.raises(InvalidAlpha, match="got -1.0"):
+            integral_representation_check(np.eye(2), [0.5, -1.0])
+        with pytest.raises(QuadratureFailure, match="not positive definite"):
+            integral_representation_check(np.diag([1.0, 0.0]), [0.5, -1.0])
+
     def test_one_stacked_solve_per_call(self, monkeypatch):
         m = random_density(3, stream(47, 0)).matrix * 3.0
         solves = counting(monkeypatch, np.linalg, "solve")

@@ -119,6 +119,20 @@ class TestCompression:
         out = ci.matrix @ vectorize(a)
         np.testing.assert_allclose(out, vectorize(np.kron(a, rho_b.sqrt())), atol=1e-10)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_columns_are_the_kronecker_images(self, dims):
+        # Column k d_A + l is |(E_kl rho_A^(-1/2) otimes I_B) rho_AB^(1/2)>.
+        d_a, d_b = dims
+        for seed in range(5):
+            rho_ab = random_density(d_a * d_b, stream(24, seed))
+            ci = CompressionIsometry(rho_ab, d_a, d_b)
+            r_a_mhalf = ci.rho_a.power(-0.5)
+            units = np.eye(d_a * d_a, dtype=complex).reshape(-1, d_a, d_a)
+            ref = np.column_stack([
+                vectorize(np.kron(e @ r_a_mhalf, np.eye(d_b, dtype=complex)) @ rho_ab.sqrt())
+                for e in units])
+            assert np.array_equal(ci.matrix, ref)
+
     def test_maps_purification(self):
         rho_ab = random_density(6, 23)
         ci = CompressionIsometry(rho_ab, 2, 3)

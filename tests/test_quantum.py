@@ -100,6 +100,22 @@ class TestChannelApply:
         generic = KrausChannel(ch.kraus_ops)
         assert np.array_equal(generic.apply_density(rho).matrix, out.matrix)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_partial_trace_kraus_family_is_exact(self, dims):
+        d_a, d_b = dims
+        ch = partial_trace_channel(d_a, d_b)
+        assert len(ch.kraus_ops) == d_b
+        for j, k in enumerate(ch.kraus_ops):
+            assert np.array_equal(k, np.kron(np.eye(d_a), np.eye(d_b)[j:j + 1]))
+
+    def test_partial_trace_channel_is_built_once_per_dims(self):
+        ch = partial_trace_channel(2, 3)
+        assert ch is partial_trace_channel(2, 3)
+        assert ch is not partial_trace_channel(3, 2)
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 2.0
+        assert ch.kraus_ops[0][0, 0] == 1.0
+
     def test_traced_dims_must_match_kraus_shapes(self):
         with pytest.raises(DimensionMismatch):
             KrausChannel(partial_trace_channel(2, 3).kraus_ops, traced_dims=(3, 2))
@@ -158,6 +174,19 @@ class TestStinespring:
         assert v.env_dim == 3
         rho = random_density(6, 9)
         assert frobenius(v.apply(rho.matrix) - ch.apply(rho.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_dilation_is_the_kronecker_sum(self, dims):
+        # V = sum_e K_e otimes |e>, and V^dagger (a otimes I_env) V, exactly.
+        d_a, d_b = dims
+        ch = random_channel(d_a * d_b, d_a, env_dim=d_b, rng_seed=stream(13, d_a, d_b))
+        v = stinespring_dilate(ch)
+        eye = np.eye(d_b)
+        ref = sum(np.kron(k, eye[:, e:e + 1]) for e, k in enumerate(ch.kraus_ops))
+        assert np.array_equal(v.isometry, ref)
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+        assert np.array_equal(v.adjoint_apply(a), dagger(ref) @ np.kron(a, eye) @ ref)
 
     def test_random_channel_identities(self):
         ch = random_channel(2, 2, env_dim=3, rng_seed=10)
