@@ -121,11 +121,11 @@ class ExperimentConfig:
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigInvalid(f"unknown scenario {self.scenario!r}")
-        if self.seed < 0:
-            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
-        if len(self.dims) != 2 or any(int(d) < 2 for d in self.dims):
+        for name, low in (("seed", 0), ("trials", 1), ("restarts", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigInvalid(f"{name} must be an integer >= {low}, got {value!r}")
+        if len(self.dims) != 2 or not all(_is_int(d) and d >= 2 for d in self.dims):
             raise ConfigInvalid(f"dims must be two integers >= 2, got {self.dims}")
         self.dims = (int(self.dims[0]), int(self.dims[1]))
         try:
@@ -139,6 +139,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigInvalid(f"unknown tolerance names {sorted(unknown)}")
         self.tolerances = {**DEFAULT_TOLERANCES, **(self.tolerances or {})}
+        for name, value in self.tolerances.items():
+            if not (isinstance(value, (int, float)) and 0.0 <= value < np.inf):
+                raise ConfigInvalid(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         if (self.rho is None) != (self.sigma is None):
             raise ConfigInvalid("rho and sigma must be supplied together")
         if self.rho is not None:
@@ -159,6 +162,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"beta_grid is read only by equality-scan and recovery-test, "
                                 f"not {self.scenario}")
         return self
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _row_error(trial: int, alpha: float) -> ScanRow:
@@ -403,22 +410,22 @@ def _dims_flag(text: str) -> tuple[int, int]:
 def _apply_config_file(cfg: ExperimentConfig, data: dict, seed_flag) -> None:
     # The config file overrides flags, except for --seed.
     if "seed" in data and seed_flag is None:
-        cfg.seed = int(data["seed"])
+        cfg.seed = data["seed"]
     if "dims" in data:
-        cfg.dims = tuple(int(_number(d, "dims")) for d in _listed(data, "dims"))
+        cfg.dims = tuple(_listed(data, "dims"))
     if "alpha_grid" in data:
         cfg.alpha_grid = tuple(_number(a, "alpha_grid") for a in _listed(data, "alpha_grid"))
     if "beta_grid" in data:
         cfg.beta_grid = tuple(_complex_pair(b) for b in _listed(data, "beta_grid"))
     if "trials" in data:
-        cfg.trials = int(data["trials"])
+        cfg.trials = data["trials"]
     if "tolerances" in data:
         tol = data["tolerances"]
         if not isinstance(tol, dict):
             raise TypeError(f"tolerances must be a JSON object, got {type(tol).__name__}")
         cfg.tolerances = {k: _number(v, "tolerances") for k, v in tol.items()}
     if "restarts" in data:
-        cfg.restarts = int(data["restarts"])
+        cfg.restarts = data["restarts"]
     if "rho" in data:
         cfg.rho = matrix_from_json(data["rho"])
     if "sigma" in data:

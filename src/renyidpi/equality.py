@@ -16,7 +16,9 @@ factor, and the result is an array over the orders (n, k for a beta
 family) whose entries equal the scalar calls bit for bit; the scalar
 call is the one-order case of the same code. SaturationContext.build
 uses this to evaluate a triple's diagnostics over a scan's alpha grid
-in one pass.
+in one pass; a family failing there names the failing order by its
+slice index in the grid. The geometric-mean, adjoint-channel and
+complex-power forms raise their middle factors in linalg.congruence_power.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .errors import (
 )
 from .linalg import (
     as_order,
+    congruence_power,
     dagger,
     frobenius,
     herm_part,
     lift_b,
-    matrix_power_psd,
     order_array,
     positive_eig,
     product_power,
@@ -86,14 +88,8 @@ def geometric_mean(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     sd = positive_eig(a)
-    return _mean_from_roots(sd.power(0.5), sd.power(-0.5), b, lam)
-
-
-def _mean_from_roots(a_half: np.ndarray, a_mhalf: np.ndarray, b: np.ndarray,
-                     lam) -> np.ndarray:
-    # b and lam may be stacked over orders: b (n, d, d) with lam (n,).
-    mid = herm_part(a_mhalf @ b @ a_mhalf)
-    return herm_part(a_half @ matrix_power_psd(mid, lam) @ a_half)
+    a_half = sd.power(0.5)
+    return herm_part(congruence_power(b, sd.power(-0.5), lam, a_half, a_half))
 
 
 def default_beta_grid(alpha: float) -> tuple[complex, ...]:
@@ -138,8 +134,7 @@ def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
 
     def side(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
         s_m = s.power(-a / 2.0)
-        mid = herm_part(s_m @ r.matrix @ s_m)
-        return herm_part(s_m @ matrix_power_psd(mid, power) @ s_m)
+        return herm_part(congruence_power(r.matrix, s_m, power, s_m, s_m))
 
     lhs = side(rho, sigma)
     rhs = ch.adjoint_apply(side(ch.apply_density(rho), ch.apply_density(sigma)))
@@ -156,12 +151,12 @@ def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     """
     a = order_array(order)
     lam = 1.0 / (1.0 - a)
-    rho_a = rho_ab.reduced(dims)
-    sigma_a = sigma_ab.reduced(dims)
-    lhs = lift_b(_mean_from_roots(rho_a.sqrt(), rho_a.power(-0.5), sigma_a.power(a), lam),
-                 dims[1])
-    rhs = _mean_from_roots(rho_ab.sqrt(), rho_ab.power(-0.5), sigma_ab.power(a), lam)
-    return _normalized(lhs - rhs)
+
+    def mean(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
+        return herm_part(congruence_power(s.power(a), r.power(-0.5), lam, r.sqrt(), r.sqrt()))
+
+    lhs = lift_b(mean(rho_ab.reduced(dims), sigma_ab.reduced(dims)), dims[1])
+    return _normalized(lhs - mean(rho_ab, sigma_ab))
 
 
 def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
@@ -317,12 +312,12 @@ def weighted_modular_pair(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
             RelativeModularOperator(sigma_a, omega_a))
 
 
-def _tempered_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def _tempered_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    # Hermitized as a DensityMatrix stores it; the built pair is validated.
     g = ginibre(rng, dim, dim)
     rho = g @ dagger(g)
     rho = rho / np.trace(rho).real
-    rho = (rho + TRIPLE_MIX * np.eye(dim) / dim) / (1.0 + TRIPLE_MIX)
-    return DensityMatrix(rho)
+    return herm_part((rho + TRIPLE_MIX * np.eye(dim) / dim) / (1.0 + TRIPLE_MIX))
 
 
 def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
@@ -351,8 +346,8 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
     rng = stream(rng_seed)
     if kind in ("product", "conjugated-product"):
         tau = _tempered_density(d_b, rng)
-        rho_ab = np.kron(_tempered_density(d_a, rng).matrix, tau.matrix)
-        sigma_ab = np.kron(_tempered_density(d_a, rng).matrix, tau.matrix)
+        rho_ab = np.kron(_tempered_density(d_a, rng), tau)
+        sigma_ab = np.kron(_tempered_density(d_a, rng), tau)
         if kind == "conjugated-product":
             u = lift_b(random_unitary(d_a, rng), d_b)
             rho_ab, sigma_ab = u @ rho_ab @ dagger(u), u @ sigma_ab @ dagger(u)
@@ -366,11 +361,11 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
         offset = 0
         for k, size in enumerate(sizes):
             sl = slice(offset, offset + size)
-            rho_a[sl, sl] = w[k] * _tempered_density(size, rng).matrix
-            sigma_a[sl, sl] = v[k] * _tempered_density(size, rng).matrix
+            rho_a[sl, sl] = w[k] * _tempered_density(size, rng)
+            sigma_a[sl, sl] = v[k] * _tempered_density(size, rng)
             offset += size
-        rho_ab = np.kron(rho_a, tau.matrix)
-        sigma_ab = np.kron(sigma_a, tau.matrix)
+        rho_ab = np.kron(rho_a, tau)
+        sigma_ab = np.kron(sigma_a, tau)
     else:
         raise ValueError(f"kind must be one of {RECOVERABLE_KINDS}, got {kind!r}")
     pair = DensityMatrix(rho_ab), DensityMatrix(sigma_ab)
@@ -465,9 +460,10 @@ class SaturationContext:
               dims: tuple[int, int], orders, beta_grid=None) -> "SaturationContext":
         """Diagnostics of the triple at each of `orders` (one order or a
         1-D sequence). beta_grid is one grid for every order; None takes
-        default_beta_grid(alpha) for each order's row. If a family fails
-        at some order, the error raised is that of the first failing
-        order, as its scalar call raises it."""
+        default_beta_grid(alpha) for each order's row. Each family runs
+        once over the whole grid, so an error is that of the first family
+        that fails at any order; a stacked family's error names the first
+        failing slice, and slice i is the order alphas[i]."""
         dims = (int(dims[0]), int(dims[1]))
         alphas = np.atleast_1d(order_array(orders))
         if beta_grid is None:
@@ -479,32 +475,15 @@ class SaturationContext:
         ci = CompressionIsometry(rho_ab, *dims)
         commutator = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
         recovery = recovery_error(rho_ab, sigma_ab, dims)
-        try:
-            families = _order_families(rho_ab, sigma_ab, dims, ch, alphas, betas)
-        except (RenyiDpiError, ValueError, np.linalg.LinAlgError):
-            # A stack's error names a slice of the grid, and comes from
-            # the first family that fails at any order. Re-run the grid
-            # order by order, so the error raised is that of the first
-            # failing order, worded as its scalar call words it.
-            for alpha, row in zip(alphas.tolist(), betas):
-                _order_families(rho_ab, sigma_ab, dims, ch, alpha, row)
-            raise
         return cls(commutator=commutator / (dims[0] * dims[1]), recovery_error=recovery,
-                   alphas=tuple(alphas.tolist()), betas=betas, **families)
-
-
-def _order_families(rho_ab, sigma_ab, dims, ch, alphas, betas) -> dict:
-    # The order-dependent diagnostics (and necessary2), at one order or
-    # stacked over a grid, in the order a report evaluates them.
-    return {
-        "t3": t3_residual(rho_ab, sigma_ab, ch, alphas, betas),
-        "petz_beta": petz_beta_residual(rho_ab, sigma_ab, dims, betas),
-        "t1": t1_residual(rho_ab, sigma_ab, ch, alphas),
-        "t1_geo": t1_geo_residual(rho_ab, sigma_ab, dims, alphas),
-        "necessary1": necessary1_residual(rho_ab, sigma_ab, dims, alphas),
-        "necessary2": necessary2_residual(rho_ab, sigma_ab, dims),
-        "dpi_gap": dpi_gap(rho_ab, sigma_ab, ch, alphas),
-    }
+                   alphas=tuple(alphas.tolist()), betas=betas,
+                   t3=t3_residual(rho_ab, sigma_ab, ch, alphas, betas),
+                   petz_beta=petz_beta_residual(rho_ab, sigma_ab, dims, betas),
+                   t1=t1_residual(rho_ab, sigma_ab, ch, alphas),
+                   t1_geo=t1_geo_residual(rho_ab, sigma_ab, dims, alphas),
+                   necessary1=necessary1_residual(rho_ab, sigma_ab, dims, alphas),
+                   necessary2=necessary2_residual(rho_ab, sigma_ab, dims),
+                   dpi_gap=dpi_gap(rho_ab, sigma_ab, ch, alphas))
 
 
 def full_report(ctx: SaturationContext, order) -> ResidualReport:

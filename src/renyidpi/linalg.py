@@ -257,6 +257,19 @@ def matrix_power_psd(m: np.ndarray, z) -> np.ndarray:
     return positive_eig(m).power(z)
 
 
+def congruence_power(x: np.ndarray, inner: np.ndarray, z, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """left herm_part(inner x inner)^z right for a Hermitian inner.
+
+    The middle factor (stack) goes to matrix_power_psd, whose floor check
+    names a failing slice. z has shape (*B, *K) for middle factors of
+    shape (*B, d, d); left and right are lifted over the exponent axes K.
+    """
+    mid = herm_part(inner @ x @ inner)
+    k = np.ndim(z) - (mid.ndim - 2)
+    return _lift(left, k) @ matrix_power_psd(mid, z) @ _lift(right, k)
+
+
 def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha,
                   z) -> np.ndarray:
     """Principal power (rho sigma^-alpha)^z for strictly positive rho, sigma.
@@ -281,11 +294,8 @@ def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha,
             f"rho side {rho.shape[0]} and sigma side {len(sd.eigenvalues)} differ"
         )
     alpha = np.asarray(alpha, dtype=float)
-    k = np.ndim(z) - alpha.ndim
-    s_half = _lift(sd.power(alpha / 2.0), k)
     s_mhalf = sd.power(-alpha / 2.0)
-    mid = herm_part(s_mhalf @ rho @ s_mhalf)
-    return s_half @ matrix_power_psd(mid, z) @ _lift(s_mhalf, k)
+    return congruence_power(rho, s_mhalf, z, sd.power(alpha / 2.0), s_mhalf)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], traced: str = "B") -> np.ndarray:

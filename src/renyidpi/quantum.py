@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NonSquare, NotPositiveDefinite
 from .linalg import (
     EPS_POS,
     HERM_RTOL,
@@ -47,8 +47,9 @@ class DensityMatrix:
 
     def __init__(self, matrix: np.ndarray, regularized: bool = False):
         m = np.asarray(matrix, dtype=complex)
-        scale = max(frobenius(m), 1.0)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or frobenius(m - dagger(m)) > HERM_RTOL * scale:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise NonSquare(f"expected a square matrix, got shape {m.shape}")
+        if frobenius(m - dagger(m)) > HERM_RTOL * max(frobenius(m), 1.0):
             hermitian_eig(m)  # raises with the precise reason
         # Decompose the hermitized matrix so the cached spectral data is a
         # pure function of the stored value (byte-equal states share it).
@@ -138,8 +139,8 @@ class KrausChannel:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise DimensionMismatch("Kraus operators have inconsistent shapes")
+        if len(shape) != 2 or any(k.shape != shape for k in ops):
+            raise DimensionMismatch("Kraus operators must be 2-d arrays of one shape")
         object.__setattr__(self, "kraus_ops", ops)
         comp = sum(dagger(k) @ k for k in ops)
         if frobenius(comp - np.eye(self.in_dim)) > CHANNEL_TOL:

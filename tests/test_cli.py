@@ -226,6 +226,16 @@ class TestMain:
         ({"scenario": "integral-check", "rho": matrix_to_json(np.eye(2) / 2),
           "sigma": matrix_to_json(np.eye(2) / 2)}, []),
         ({"scenario": "divergence", "beta_grid": [[1.0, 0.0]]}, []),
+        # Tolerances must be finite and nonnegative; counts and dims must
+        # be integers, not truncated floats or bools.
+        ({"tolerances": {"dpi": float("nan")}}, []),
+        ({"tolerances": {"dpi": -1}}, []),
+        ({"tolerances": {"saturation": float("inf")}}, []),
+        ({"trials": 2.7}, []),
+        ({"seed": 1.9}, []),
+        ({"dims": [2.5, 2]}, []),
+        ({"restarts": -3}, []),
+        ({"trials": True}, []),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
         named = config.get("scenario") if isinstance(config, dict) else None

@@ -43,6 +43,7 @@ from renyidpi import (
     ResidualReport,
     SaturationContext,
 )
+from renyidpi import equality
 from renyidpi.cli import DEFAULT_ALPHA_GRID
 from helpers import counting, nonhermitian_power, rand_pd
 
@@ -238,22 +239,40 @@ class TestOrderStacks:
         SaturationContext.build(rho, sigma, (2, 2), DEFAULT_ALPHA_GRID)
         assert len(calls) - one == one
 
-    def test_a_failing_order_raises_as_its_scalar_call(self):
+    @staticmethod
+    def failing_triple():
         # At alpha < 0 the middle factor sigma^(-a/2) rho sigma^(-a/2) of
         # this commuting pair falls below the positivity floor; at alpha
-        # > 0 it does not. The context raises the error of the first
-        # failing order's first family, worded as the scalar call words
-        # it, without naming a slice of the stack.
+        # > 0 it does not.
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.3 - 4e-10, 4e-10]).astype(complex))
         sigma = DensityMatrix(np.diag([0.4, 0.3, 0.3 - 1e-3, 1e-3]).astype(complex))
+        return rho, sigma
+
+    def test_a_failing_order_is_named_by_its_slice(self):
+        # The context raises the error of the first family that fails,
+        # from its one stacked call: the first failing order's slice of
+        # the grid, then that order's scalar error.
+        rho, sigma = self.failing_triple()
         ch = partial_trace_channel(2, 2)
         SaturationContext.build(rho, sigma, (2, 2), (0.3, 0.5))
         with pytest.raises(NotPositiveDefinite) as scalar:
             t3_residual(rho, sigma, ch, -0.5, default_beta_grid(-0.5))
         with pytest.raises(NotPositiveDefinite) as stacked:
             SaturationContext.build(rho, sigma, (2, 2), (0.5, -0.5, -1.0))
-        assert str(stacked.value) == str(scalar.value)
-        assert "slice" not in str(stacked.value)
+        assert str(stacked.value) == "slice 1: " + str(scalar.value)
+
+    def test_a_failing_build_evaluates_each_family_once(self, monkeypatch):
+        rho, sigma = self.failing_triple()
+        rho.reduced((2, 2)), sigma.reduced((2, 2))
+        # Counted on entry: the failing call returns nothing to record.
+        t3_calls, t3 = [], equality.t3_residual
+        monkeypatch.setattr(equality, "t3_residual",
+                            lambda *args: t3_calls.append(args) or t3(*args))
+        eigh_calls = counting(monkeypatch, np.linalg, "eigh")
+        with pytest.raises(NotPositiveDefinite):
+            SaturationContext.build(rho, sigma, (2, 2), (0.5, -0.5, -1.0))
+        assert len(t3_calls) == 1
+        assert len(eigh_calls) == 1
 
     def test_order_outside_the_grid_is_rejected(self):
         rho, sigma = random_pair(4, 74)

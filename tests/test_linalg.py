@@ -22,7 +22,7 @@ from renyidpi import (
     schatten_norm,
     vectorize,
 )
-from renyidpi.linalg import positive_eig
+from renyidpi.linalg import congruence_power, positive_eig
 from helpers import nonhermitian_power, rand_pd
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -228,6 +228,18 @@ class TestProductPower:
     def test_rejects_sigma_below_floor(self):
         with pytest.raises(NotPositiveDefinite):
             product_power(np.eye(2), hermitian_eig(np.diag([1.0, 0.0])), 0.5, 1.0)
+
+
+class TestCongruencePower:
+    def test_stack_names_the_slice_below_the_floor(self):
+        # inner x inner is diag(1, 1e-12) on slice 1 only.
+        x = np.stack([np.eye(2), np.diag([1.0, 1e-12])]).astype(complex)
+        inner, left = np.eye(2), np.diag([2.0, 3.0])
+        with pytest.raises(NotPositiveDefinite, match=r"^slice 1: smallest eigenvalue 1\.000e-12"):
+            congruence_power(x, inner, np.array([0.5, 0.5]), left, left)
+        out = congruence_power(x[:1], inner, np.array([[0.5, 2.0]]), left, left)
+        assert out.shape == (1, 2, 2, 2)
+        np.testing.assert_allclose(out[0, 1], left @ left, atol=1e-14)
 
 
 class TestPartialTrace:

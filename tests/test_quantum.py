@@ -5,6 +5,7 @@ from renyidpi import (
     DensityMatrix,
     DimensionMismatch,
     KrausChannel,
+    NonSquare,
     NotPositiveDefinite,
     canonical_purification,
     channel_from_json,
@@ -36,6 +37,10 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(NotPositiveDefinite):
             DensityMatrix(np.diag([1.0, 0.0]))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(NonSquare):
+            DensityMatrix(np.eye(2)[None] / 2)
 
     def test_cached_powers(self):
         rho = random_density(3, 0)
@@ -127,6 +132,10 @@ class TestChannelApply:
     def test_rejects_incomplete_family(self):
         with pytest.raises(ValueError):
             KrausChannel((np.eye(2) * 0.5,))
+
+    def test_rejects_stacked_operators(self):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel((np.eye(2)[None],))
 
 
 class TestAdjoint:
