@@ -46,8 +46,6 @@ from .quantum import (
     PurifiedState,
     StinespringIsometry,
     canonical_purification,
-    channel_from_json,
-    channel_to_json,
     ginibre,
     identity_channel,
     partial_trace_channel,
@@ -105,7 +103,6 @@ from .equality import (
     t1_geo_residual,
     t1_residual,
     t3_residual,
-    t3_residual_dilated,
     weighted_modular_pair,
 )
 

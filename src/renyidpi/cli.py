@@ -161,6 +161,8 @@ class ExperimentConfig:
         if self.beta_grid is not None and self.scenario not in ("equality-scan", "recovery-test"):
             raise ConfigInvalid(f"beta_grid is read only by equality-scan and recovery-test, "
                                 f"not {self.scenario}")
+        if self.beta_grid is not None and not np.all(np.isfinite(self.beta_grid)):
+            raise ConfigInvalid(f"beta_grid entries must be finite, got {self.beta_grid}")
         return self
 
 

@@ -19,6 +19,14 @@ uses this to evaluate a triple's diagnostics over a scan's alpha grid
 in one pass; a family failing there names the failing order by its
 slice index in the grid. The geometric-mean, adjoint-channel and
 complex-power forms raise their middle factors in linalg.congruence_power.
+
+Each two-sided condition says that one function f of the pair is carried
+back by the adjoint channel, f(rho, sigma) = N*(f(N(rho), N(sigma))), and
+its residual is _condition_residual of that f: the adjoint-channel,
+geometric-mean, complex-power, petz_beta and necessary2 families differ
+only in f. The Stinespring route is the complex-power residual run on the
+channel's dilation. necessary1 and recovery_error compare a recovered
+state with rho instead.
 """
 
 from __future__ import annotations
@@ -54,10 +62,10 @@ from .modular import (
 from .quantum import (
     DensityMatrix,
     KrausChannel,
+    StinespringIsometry,
     ginibre,
     partial_trace_channel,
     random_unitary,
-    stinespring_dilate,
     stream,
 )
 from .divergence import closed_form_optimizer, dpi_gap
@@ -105,8 +113,15 @@ def _normalized(diff: np.ndarray):
     return frobenius(diff) / np.sqrt(diff.shape[-1])
 
 
-def _per_beta(out):
-    # A beta family's residuals: the array, or a float for one beta.
+def _condition_residual(f, rho, sigma, ch):
+    """Residual of the saturation condition f(rho, sigma) = ch*(f(ch(rho), ch(sigma))).
+
+    The input side is evaluated first, so a failing input-side power
+    raises before any output-side eigensolve. A float for one matrix f,
+    the array of per-slice residuals for a stack.
+    """
+    lhs = f(rho, sigma)
+    out = _normalized(lhs - ch.adjoint_apply(f(ch.apply_density(rho), ch.apply_density(sigma))))
     return out if np.ndim(out) else float(out)
 
 
@@ -136,9 +151,7 @@ def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
         s_m = s.power(-a / 2.0)
         return herm_part(congruence_power(r.matrix, s_m, power, s_m, s_m))
 
-    lhs = side(rho, sigma)
-    rhs = ch.adjoint_apply(side(ch.apply_density(rho), ch.apply_density(sigma)))
-    return _normalized(lhs - rhs)
+    return _condition_residual(side, rho, sigma, ch)
 
 
 def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
@@ -155,8 +168,7 @@ def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     def mean(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
         return herm_part(congruence_power(s.power(a), r.power(-0.5), lam, r.sqrt(), r.sqrt()))
 
-    lhs = lift_b(mean(rho_ab.reduced(dims), sigma_ab.reduced(dims)), dims[1])
-    return _normalized(lhs - mean(rho_ab, sigma_ab))
+    return _condition_residual(mean, rho_ab, sigma_ab, partial_trace_channel(*dims))
 
 
 def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
@@ -175,7 +187,8 @@ def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
             @ product_power(rho.matrix, sigma.spectral, alphas, z))
 
 
-def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order, beta):
+def t3_residual(rho: DensityMatrix, sigma: DensityMatrix,
+                ch: KrausChannel | StinespringIsometry, order, beta):
     """Residual of the complex-power saturation family.
 
     sigma^beta (rho sigma^-a)^(beta/(a-1)) against the adjoint channel of
@@ -185,31 +198,13 @@ def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
     of residuals; with a 1-D array of n orders, beta is either one grid
     for all of them or an (n, k) array with a row per order, and the
     result has shape (n, k). Each entry equals the scalar call.
+
+    ch may also be a channel's Stinespring dilation: it then acts as
+    Tr_env[V . V^dagger] and its adjoint as V^dagger (. otimes I_env) V,
+    an independent route whose value agrees with the Kraus one to roundoff.
     """
     alphas, betas = _order_betas(order, beta)
-    lhs = _t3_family(rho, sigma, alphas, betas)
-    out_r = ch.apply_density(rho)
-    out_s = ch.apply_density(sigma)
-    rhs = ch.adjoint_apply(_t3_family(out_r, out_s, alphas, betas))
-    return _per_beta(_normalized(lhs - rhs))
-
-
-def t3_residual_dilated(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel,
-                        order, beta):
-    """Same residual with the channel routed through its Stinespring dilation.
-
-    The channel acts as Tr_env[V . V^dagger] and the adjoint as
-    V^dagger (. otimes I_env) V, tracing the condition down to the
-    partial-trace picture; the value agrees with the direct route to
-    roundoff.
-    """
-    alphas, betas = _order_betas(order, beta)
-    v = stinespring_dilate(ch)
-    lhs = _t3_family(rho, sigma, alphas, betas)
-    out_r = DensityMatrix(v.apply(rho.matrix))
-    out_s = DensityMatrix(v.apply(sigma.matrix))
-    rhs = v.adjoint_apply(_t3_family(out_r, out_s, alphas, betas))
-    return _per_beta(_normalized(lhs - rhs))
+    return _condition_residual(lambda r, s: _t3_family(r, s, alphas, betas), rho, sigma, ch)
 
 
 def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
@@ -219,11 +214,8 @@ def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     shape (an (n, k) grid with a row per order, say), gives the array of
     residuals of that shape, each equal to the scalar call."""
     betas = np.asarray(beta, dtype=complex)
-    rho_a = rho_ab.reduced(dims)
-    sigma_a = sigma_ab.reduced(dims)
-    lhs = sigma_ab.spectral.power(betas) @ rho_ab.spectral.power(-betas)
-    rhs = lift_b(sigma_a.spectral.power(betas) @ rho_a.spectral.power(-betas), dims[1])
-    return _per_beta(_normalized(lhs - rhs))
+    return _condition_residual(lambda r, s: s.spectral.power(betas) @ r.spectral.power(-betas),
+                               rho_ab, sigma_ab, partial_trace_channel(*dims))
 
 
 def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.ndarray:
@@ -273,11 +265,8 @@ def necessary2_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
                         dims: tuple[int, int]) -> float:
     """Residual of sigma_A rho_A^-1 otimes I_B = sigma_AB rho_AB^-1, the
     beta = 1 - alpha corollary; necessary but possibly not sufficient."""
-    rho_a = rho_ab.reduced(dims)
-    sigma_a = sigma_ab.reduced(dims)
-    lhs = lift_b(sigma_a.matrix @ rho_a.power(-1.0), dims[1])
-    rhs = sigma_ab.matrix @ rho_ab.power(-1.0)
-    return _normalized(lhs - rhs)
+    return _condition_residual(lambda r, s: s.matrix @ r.power(-1.0),
+                               rho_ab, sigma_ab, partial_trace_channel(*dims))
 
 
 def recovery_error(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,

@@ -21,8 +21,6 @@ from .linalg import (
     herm_part,
     hermitian_eig,
     lift_b,
-    matrix_from_json,
-    matrix_to_json,
     partial_trace,
     vectorize,
 )
@@ -128,7 +126,8 @@ class KrausChannel:
 
     traced_dims is set only by partial_trace_channel: it marks the channel
     as Tr_B on a space with dims (d_A, d_B), so that apply_density returns
-    the input state's cached reduced state instead of a new one.
+    the input state's cached reduced state instead of a new one, and
+    adjoint_apply is lift_b.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -170,14 +169,17 @@ class KrausChannel:
     def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint sum_i K_i^dagger a K_i (unital).
 
-        A stack of observables, shape (k, out_dim, out_dim), maps slice by
-        slice.
+        A stack of observables, shape (*B, out_dim, out_dim), maps slice
+        by slice. The adjoint of Tr_B is a -> a otimes I_B, which lift_b
+        forms with the same entries as the Kraus sum.
         """
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != (self.out_dim, self.out_dim):
             raise DimensionMismatch(
                 f"observable of side {a.shape} does not match out_dim {self.out_dim}"
             )
+        if self.traced_dims is not None:
+            return lift_b(a, self.traced_dims[1])
         return sum(dagger(k) @ a @ k for k in self.kraus_ops)
 
     def apply_density(self, rho: DensityMatrix) -> DensityMatrix:
@@ -205,6 +207,9 @@ class StinespringIsometry:
     def adjoint_apply(self, a: np.ndarray) -> np.ndarray:
         v = self.isometry
         return dagger(v) @ lift_b(a, self.env_dim) @ v
+
+    def apply_density(self, rho: DensityMatrix) -> DensityMatrix:
+        return DensityMatrix(self.apply(rho.matrix))
 
 
 def stinespring_dilate(ch: KrausChannel) -> StinespringIsometry:
@@ -296,18 +301,3 @@ def random_channel(in_dim: int, out_dim: int | None = None, env_dim: int | None 
     env_dim = out_dim if env_dim is None else env_dim
     v = random_isometry(out_dim * env_dim, in_dim, rng_seed)
     return KrausChannel(tuple(v.reshape(out_dim, env_dim, in_dim).swapaxes(0, 1)))
-
-
-def channel_to_json(ch: KrausChannel) -> dict:
-    return {
-        "in_dim": ch.in_dim,
-        "out_dim": ch.out_dim,
-        "kraus": [matrix_to_json(k) for k in ch.kraus_ops],
-    }
-
-
-def channel_from_json(obj: dict) -> KrausChannel:
-    ch = KrausChannel(tuple(matrix_from_json(k) for k in obj["kraus"]))
-    if ch.in_dim != int(obj["in_dim"]) or ch.out_dim != int(obj["out_dim"]):
-        raise DimensionMismatch("kraus payload contradicts declared dimensions")
-    return ch

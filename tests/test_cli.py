@@ -34,6 +34,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(scenario="dpi-scan", alpha_grid=(0.0,)).validate()
 
+    def test_nonfinite_beta(self):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(scenario="equality-scan", beta_grid=(complex(0.5, np.inf),)).validate()
+
     def test_states_must_come_together(self):
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(scenario="divergence", rho=np.eye(2) / 2).validate()
@@ -236,6 +240,10 @@ class TestMain:
         ({"dims": [2.5, 2]}, []),
         ({"restarts": -3}, []),
         ({"trials": True}, []),
+        # Betas must be finite in both parts.
+        ({"beta_grid": [[float("nan"), 0]]}, []),
+        ({"beta_grid": [[float("inf"), 0]]}, []),
+        ({"beta_grid": [[0, float("nan")]]}, []),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
         named = config.get("scenario") if isinstance(config, dict) else None

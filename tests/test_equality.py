@@ -34,11 +34,11 @@ from renyidpi import (
     random_density,
     recovery_error,
     sandwiched_renyi,
+    stinespring_dilate,
     stream,
     t1_geo_residual,
     t1_residual,
     t3_residual,
-    t3_residual_dilated,
     trace_norm,
     ResidualReport,
     SaturationContext,
@@ -126,7 +126,8 @@ class TestVectorizedFamilies:
                 assert values.shape == self.BETAS.shape
                 for beta, value in zip(self.BETAS, values):
                     assert abs(value - t3_residual(rho, sigma, ch, alpha, beta)) <= 1e-12
-                    assert abs(value - t3_residual_dilated(rho, sigma, ch, alpha, beta)) <= 1e-12
+                    assert abs(value - t3_residual(rho, sigma, stinespring_dilate(ch),
+                                                   alpha, beta)) <= 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     def test_petz_beta_array_matches_scalar_formula(self, dims):
@@ -165,6 +166,16 @@ class TestOrderStacks:
         yield random_pair(dim, 70)
         for kind in RECOVERABLE_KINDS:
             yield build_recoverable_triple(kind, dims, 71)
+
+    def test_one_order_gives_a_float(self):
+        rho, sigma = random_pair(4, 72)
+        ch = partial_trace_channel(2, 2)
+        values = (t1_residual(rho, sigma, ch, 0.5),
+                  t1_geo_residual(rho, sigma, (2, 2), 0.5),
+                  t3_residual(rho, sigma, ch, 0.5, 0.5j),
+                  petz_beta_residual(rho, sigma, (2, 2), 0.5j),
+                  necessary2_residual(rho, sigma, (2, 2)))
+        assert all(type(x) is float for x in values)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
     def test_array_of_orders_matches_scalar_calls(self, dims):
@@ -427,7 +438,7 @@ class TestT3:
             for alpha in (0.3, -0.6):
                 for beta in (-1.0 + 0j, 0.5 + 1j):
                     direct = t3_residual(rho, sigma, ch, alpha, beta)
-                    dilated = t3_residual_dilated(rho, sigma, ch, alpha, beta)
+                    dilated = t3_residual(rho, sigma, stinespring_dilate(ch), alpha, beta)
                     assert abs(direct - dilated) <= 1e-9
 
 

@@ -8,8 +8,6 @@ from renyidpi import (
     NonSquare,
     NotPositiveDefinite,
     canonical_purification,
-    channel_from_json,
-    channel_to_json,
     dagger,
     frobenius,
     herm_part,
@@ -22,6 +20,7 @@ from renyidpi import (
     stinespring_dilate,
     stream,
 )
+from renyidpi.linalg import lift_b
 
 PAULIS = (
     np.eye(2, dtype=complex),
@@ -144,12 +143,19 @@ class TestAdjoint:
         out = ch.adjoint_apply(np.eye(2))
         assert frobenius(out - np.eye(3)) <= 1e-11
 
-    def test_partial_trace_adjoint_embeds(self):
-        # <a, Tr_B x> = <a otimes I, x> forces the adjoint to be a -> a otimes I.
-        ch = partial_trace_channel(2, 3)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_partial_trace_adjoint_embeds(self, dims):
+        # <a, Tr_B x> = <a otimes I, x> forces the adjoint to be a -> a otimes I:
+        # lift_b, with the entries of the unmarked channel's Kraus sum.
+        d_a, d_b = dims
+        ch = partial_trace_channel(d_a, d_b)
+        unmarked = KrausChannel(ch.kraus_ops)
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(ch.adjoint_apply(a), np.kron(a, np.eye(3)), atol=1e-13)
+        for shape in ((d_a, d_a), (10, 9, d_a, d_a)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = ch.adjoint_apply(a)
+            assert np.array_equal(got, lift_b(a, d_b))
+            assert np.array_equal(got, unmarked.adjoint_apply(a))
 
     def test_stack_maps_slice_by_slice(self):
         ch = random_channel(3, 2, rng_seed=10)
@@ -258,18 +264,3 @@ class TestPurification:
         proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
         np.testing.assert_allclose(partial_trace(proj, (3, 3), "B"), rho.matrix, atol=1e-10)
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
-
-
-class TestChannelJson:
-    def test_round_trip(self):
-        ch = random_channel(2, 3, rng_seed=31)
-        back = channel_from_json(channel_to_json(ch))
-        assert back.in_dim == ch.in_dim and back.out_dim == ch.out_dim
-        for ka, kb in zip(ch.kraus_ops, back.kraus_ops):
-            np.testing.assert_array_equal(ka, kb)
-
-    def test_rejects_contradictory_dims(self):
-        obj = channel_to_json(identity_channel(2))
-        obj["in_dim"] = 3
-        with pytest.raises(DimensionMismatch):
-            channel_from_json(obj)
