@@ -467,6 +467,8 @@ def _load_config(args) -> tuple[ExperimentConfig, str, str | None]:
         except (TypeError, ValueError, KeyError, DimensionMismatch) as exc:
             raise ConfigInvalid(f"malformed config: {exc}") from exc
         file_format = data.get("format")
+        if file_format is not None and file_format not in ("csv", "json"):
+            raise ConfigInvalid(f"format must be csv or json, got {file_format!r}")
         file_out = data.get("out")
         if file_out is not None and not isinstance(file_out, str):
             raise ConfigInvalid(f"out must be a path string, got {file_out!r}")

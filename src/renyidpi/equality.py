@@ -2,9 +2,15 @@
 
 Residual evaluators for the algebraic saturation conditions (the
 geometric-mean form, the adjoint-channel form, the complex-power family,
-and the simpler necessary conditions), the Petz recovery map and its
-one-parameter power-family generalization, plus constructors for triples
+and the simpler necessary conditions), the power-family recovery map,
+whose alpha = 1/2 member is the Petz map, plus constructors for triples
 that saturate the inequality by design.
+
+Every condition and both recovery maps take (rho, sigma, ch, ...) and use
+ch only through apply_density and adjoint_apply. Which families
+characterize saturation for channels other than Tr_B is not established
+here; the recoverable triples and SaturationContext (its compression
+isometry and Jensen commutator exist only for Tr_B) still take dims.
 
 Residuals are Frobenius norms divided by sqrt(dim) of the ambient space,
 so tolerances are dimension stable.
@@ -24,9 +30,11 @@ Each two-sided condition says that one function f of the pair is carried
 back by the adjoint channel, f(rho, sigma) = N*(f(N(rho), N(sigma))), and
 its residual is _condition_residual of that f: the adjoint-channel,
 geometric-mean, complex-power, petz_beta and necessary2 families differ
-only in f. The Stinespring route is the complex-power residual run on the
-channel's dilation. necessary1 and recovery_error compare a recovered
-state with rho instead.
+only in f. necessary1 and recovery_error compare a recovered state,
+alpha_recover of N(rho), with rho instead. Run on a channel's Stinespring
+dilation, where N is Tr_env[V . V^dagger] and N* is V^dagger (. otimes
+I_env) V, any family is an independent route that agrees with the Kraus
+one to roundoff.
 """
 
 from __future__ import annotations
@@ -85,6 +93,9 @@ TRIPLE_MIX = 1.0
 
 RECOVERABLE_KINDS = ("product", "blocked", "conjugated-product")
 
+# Every family's channel: anything with apply_density and adjoint_apply.
+Channel = KrausChannel | StinespringIsometry
+
 
 def geometric_mean(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     """Weighted geometric mean a^(1/2) (a^(-1/2) b a^(-1/2))^lam a^(1/2).
@@ -136,7 +147,7 @@ def _order_betas(order, beta) -> tuple[np.ndarray, np.ndarray]:
     return alphas, betas
 
 
-def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):
+def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order):
     """Residual of the adjoint-channel saturation condition.
 
     sigma^(-a/2) (sigma^(-a/2) rho sigma^(-a/2))^(a/(1-a)) sigma^(-a/2)
@@ -154,13 +165,13 @@ def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, orde
     return _condition_residual(side, rho, sigma, ch)
 
 
-def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                    dims: tuple[int, int], order):
-    """Residual of the geometric-mean saturation condition for Tr_B.
+def t1_geo_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order):
+    """Residual of the geometric-mean saturation condition.
 
-    rho_A #_(1/(1-a)) sigma_A^a otimes I_B against the same mean on AB.
-    The square roots of rho_A and rho_AB come from their cached eigen-data.
-    A 1-D array of orders gives the array of residuals.
+    rho #_(1/(1-a)) sigma^a against the adjoint channel of the same mean
+    of the output states. The square roots of rho and ch(rho) come from
+    their cached eigen-data. A 1-D array of orders gives the array of
+    residuals.
     """
     a = order_array(order)
     lam = 1.0 / (1.0 - a)
@@ -168,7 +179,7 @@ def t1_geo_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
     def mean(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
         return herm_part(congruence_power(s.power(a), r.power(-0.5), lam, r.sqrt(), r.sqrt()))
 
-    return _condition_residual(mean, rho_ab, sigma_ab, partial_trace_channel(*dims))
+    return _condition_residual(mean, rho, sigma, ch)
 
 
 def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
@@ -187,8 +198,7 @@ def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
             @ product_power(rho.matrix, sigma.spectral, alphas, z))
 
 
-def t3_residual(rho: DensityMatrix, sigma: DensityMatrix,
-                ch: KrausChannel | StinespringIsometry, order, beta):
+def t3_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order, beta):
     """Residual of the complex-power saturation family.
 
     sigma^beta (rho sigma^-a)^(beta/(a-1)) against the adjoint channel of
@@ -198,107 +208,92 @@ def t3_residual(rho: DensityMatrix, sigma: DensityMatrix,
     of residuals; with a 1-D array of n orders, beta is either one grid
     for all of them or an (n, k) array with a row per order, and the
     result has shape (n, k). Each entry equals the scalar call.
-
-    ch may also be a channel's Stinespring dilation: it then acts as
-    Tr_env[V . V^dagger] and its adjoint as V^dagger (. otimes I_env) V,
-    an independent route whose value agrees with the Kraus one to roundoff.
     """
     alphas, betas = _order_betas(order, beta)
     return _condition_residual(lambda r, s: _t3_family(r, s, alphas, betas), rho, sigma, ch)
 
 
-def petz_beta_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                       dims: tuple[int, int], beta):
-    """Residual of sigma_AB^beta rho_AB^-beta = sigma_A^beta rho_A^-beta otimes I_B,
+def petz_beta_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, beta):
+    """Residual of sigma^beta rho^-beta = ch*(ch(sigma)^beta ch(rho)^-beta),
     the relative-entropy saturation family. An array of betas, of any
     shape (an (n, k) grid with a row per order, say), gives the array of
     residuals of that shape, each equal to the scalar call."""
     betas = np.asarray(beta, dtype=complex)
     return _condition_residual(lambda r, s: s.spectral.power(betas) @ r.spectral.power(-betas),
-                               rho_ab, sigma_ab, partial_trace_channel(*dims))
+                               rho, sigma, ch)
 
 
-def petz_recover(sigma: DensityMatrix, ch: KrausChannel, y: np.ndarray) -> np.ndarray:
-    """Petz recovery map sigma^(1/2) ch*(ch(sigma)^(-1/2) y ch(sigma)^(-1/2)) sigma^(1/2).
+def alpha_recover(sigma: DensityMatrix, ch: Channel, order, x: np.ndarray) -> np.ndarray:
+    """Power-family recovery map
+
+        sigma^(1-a) ch*(ch(sigma)^(a-1) x ch(sigma)^-a) sigma^a.
+
+    Trace preserving for every order; at alpha = 1/2 it is the Petz map,
+    and it is not asserted to be positive elsewhere. A 1-D array of orders
+    gives the stack of the maps' outputs. Raises SingularOutputState when
+    ch(sigma) is below the positivity floor.
+    """
+    a = order_array(order)
+    try:
+        out = ch.apply_density(sigma)
+    except NotPositiveDefinite as exc:
+        raise SingularOutputState("channel output of sigma is below the positivity floor") from exc
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (out.dim, out.dim):
+        raise DimensionMismatch(f"input side {x.shape} does not match the output dim {out.dim}")
+    inner = ch.adjoint_apply(out.power(a - 1.0) @ x @ out.power(-a))
+    return sigma.power(1.0 - a) @ inner @ sigma.power(a)
+
+
+def petz_recover(sigma: DensityMatrix, ch: Channel, y: np.ndarray) -> np.ndarray:
+    """Petz recovery map sigma^(1/2) ch*(ch(sigma)^(-1/2) y ch(sigma)^(-1/2)) sigma^(1/2),
+    the power-family map at alpha = 1/2.
 
     Recovers sigma from ch(sigma) exactly, and recovers any rho from
     ch(rho) exactly when the data-processing inequality saturates.
     """
-    try:
-        pivot = ch.apply_density(sigma).power(-0.5)
-    except NotPositiveDefinite as exc:
-        raise SingularOutputState("channel output of sigma is below the positivity floor") from exc
-    s_half = sigma.sqrt()
-    return s_half @ ch.adjoint_apply(pivot @ np.asarray(y, dtype=complex) @ pivot) @ s_half
+    return alpha_recover(sigma, ch, 0.5, y)
 
 
-def alpha_recover(sigma_ab: DensityMatrix, dims: tuple[int, int], order,
-                  x_a: np.ndarray) -> np.ndarray:
-    """Power-family recovery map for Tr_B,
-
-        sigma_AB^(1-a) (sigma_A^(a-1) x sigma_A^-a otimes I_B) sigma_AB^a.
-
-    Trace preserving for every order; coincides with the Petz map at
-    alpha = 1/2 but is not asserted to be positive elsewhere. A 1-D array
-    of orders gives the stack of the maps' outputs.
-    """
-    a = order_array(order)
-    sigma_a = sigma_ab.reduced(dims)
-    x_a = np.asarray(x_a, dtype=complex)
-    if x_a.shape != (dims[0], dims[0]):
-        raise DimensionMismatch(f"input side {x_a.shape} does not match d_A {dims[0]}")
-    inner = lift_b(sigma_a.power(a - 1.0) @ x_a @ sigma_a.power(-a), dims[1])
-    return sigma_ab.power(1.0 - a) @ inner @ sigma_ab.power(a)
-
-
-def necessary1_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                        dims: tuple[int, int], order):
+def necessary1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order):
     """Perfect-recovery form of the power-family condition at beta = alpha - 1:
-    the power-family map must send rho_A back to rho_AB. A 1-D array of
+    the power-family map must send ch(rho) back to rho. A 1-D array of
     orders gives the array of residuals."""
-    rho_a = rho_ab.reduced(dims)
-    recovered = alpha_recover(sigma_ab, dims, order, rho_a.matrix)
-    return _normalized(recovered - rho_ab.matrix)
+    return _normalized(alpha_recover(sigma, ch, order, ch.apply_density(rho).matrix) - rho.matrix)
 
 
-def necessary2_residual(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                        dims: tuple[int, int]) -> float:
-    """Residual of sigma_A rho_A^-1 otimes I_B = sigma_AB rho_AB^-1, the
+def necessary2_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel) -> float:
+    """Residual of sigma rho^-1 = ch*(ch(sigma) ch(rho)^-1), the
     beta = 1 - alpha corollary; necessary but possibly not sufficient."""
-    return _condition_residual(lambda r, s: s.matrix @ r.power(-1.0),
-                               rho_ab, sigma_ab, partial_trace_channel(*dims))
+    return _condition_residual(lambda r, s: s.matrix @ r.power(-1.0), rho, sigma, ch)
 
 
-def recovery_error(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                   dims: tuple[int, int]) -> float:
-    """Trace-norm error of Petz recovery from the reduced state,
-    || R_{sigma,Tr_B}(rho_A) - rho_AB ||_1."""
-    ch = partial_trace_channel(*dims)
-    rho_a = rho_ab.reduced(dims)
-    return trace_norm(petz_recover(sigma_ab, ch, rho_a.matrix) - rho_ab.matrix)
+def recovery_error(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel) -> float:
+    """Trace-norm error of Petz recovery from the channel output,
+    || R_{sigma,ch}(ch(rho)) - rho ||_1."""
+    return trace_norm(petz_recover(sigma, ch, ch.apply_density(rho).matrix) - rho.matrix)
 
 
-def weighted_modular_pair(rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-                          dims: tuple[int, int], order
+def weighted_modular_pair(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order
                           ) -> tuple[RelativeModularOperator, RelativeModularOperator]:
-    """Modular operators weighted by the optimizer a_*^2 on AB and on A.
+    """Modular operators weighted by the optimizer a_*^2 on the input and
+    on the output of ch.
 
-    The A weight is rho_A^(1/2) a_*^2 rho_A^(1/2), which is exactly the
-    closed-form optimizing state; the AB weight lifts a_*^2 otimes I_B
-    through rho_AB^(1/2). Both weighted states have unit trace.
+    The output weight is ch(rho)^(1/2) a_*^2 ch(rho)^(1/2), which is
+    exactly the closed-form optimizing state of the output pair; the
+    input weight lifts ch*(a_*^2) through rho^(1/2). Both weighted states
+    have unit trace.
     """
     order = as_order(order)
-    rho_a = rho_ab.reduced(dims)
-    sigma_a = sigma_ab.reduced(dims)
-    omega_a = closed_form_optimizer(rho_a, sigma_a, order).omega_star
-    r_mhalf = rho_a.power(-0.5)
-    a_star_sq = herm_part(r_mhalf @ omega_a.matrix @ r_mhalf)
-    lifted = herm_part(
-        rho_ab.sqrt() @ lift_b(a_star_sq, dims[1]) @ rho_ab.sqrt()
-    )
-    omega_ab = DensityMatrix(lifted / np.trace(lifted).real)
-    return (RelativeModularOperator(sigma_ab, omega_ab),
-            RelativeModularOperator(sigma_a, omega_a))
+    rho_out = ch.apply_density(rho)
+    sigma_out = ch.apply_density(sigma)
+    omega_out = closed_form_optimizer(rho_out, sigma_out, order).omega_star
+    r_mhalf = rho_out.power(-0.5)
+    a_star_sq = herm_part(r_mhalf @ omega_out.matrix @ r_mhalf)
+    lifted = herm_part(rho.sqrt() @ ch.adjoint_apply(a_star_sq) @ rho.sqrt())
+    omega_in = DensityMatrix(lifted / np.trace(lifted).real)
+    return (RelativeModularOperator(sigma, omega_in),
+            RelativeModularOperator(sigma_out, omega_out))
 
 
 def _tempered_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -358,7 +353,7 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
     else:
         raise ValueError(f"kind must be one of {RECOVERABLE_KINDS}, got {kind!r}")
     pair = DensityMatrix(rho_ab), DensityMatrix(sigma_ab)
-    cert = recovery_error(pair[0], pair[1], (d_a, d_b))
+    cert = recovery_error(pair[0], pair[1], partial_trace_channel(d_a, d_b))
     if cert > 1e-9:
         raise RenyiDpiError(
             f"recoverable-triple certificate failed: recovery error {cert:.3e}"
@@ -419,7 +414,8 @@ class ResidualReport:
 @dataclass(frozen=True, eq=False)
 class SaturationContext:
     """Every saturation diagnostic of one triple (rho_AB, sigma_AB, Tr_B)
-    over a grid of orders, computed once by `build`.
+    over a grid of orders, computed once by `build`, which passes the one
+    memoized partial_trace_channel to every family.
 
     commutator is the Jensen commutator norm of the compression isometry
     divided by d_A * d_B, and recovery_error the Petz recovery error from
@@ -463,15 +459,15 @@ class SaturationContext:
         ch = partial_trace_channel(*dims)
         ci = CompressionIsometry(rho_ab, *dims)
         commutator = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
-        recovery = recovery_error(rho_ab, sigma_ab, dims)
+        recovery = recovery_error(rho_ab, sigma_ab, ch)
         return cls(commutator=commutator / (dims[0] * dims[1]), recovery_error=recovery,
                    alphas=tuple(alphas.tolist()), betas=betas,
                    t3=t3_residual(rho_ab, sigma_ab, ch, alphas, betas),
-                   petz_beta=petz_beta_residual(rho_ab, sigma_ab, dims, betas),
+                   petz_beta=petz_beta_residual(rho_ab, sigma_ab, ch, betas),
                    t1=t1_residual(rho_ab, sigma_ab, ch, alphas),
-                   t1_geo=t1_geo_residual(rho_ab, sigma_ab, dims, alphas),
-                   necessary1=necessary1_residual(rho_ab, sigma_ab, dims, alphas),
-                   necessary2=necessary2_residual(rho_ab, sigma_ab, dims),
+                   t1_geo=t1_geo_residual(rho_ab, sigma_ab, ch, alphas),
+                   necessary1=necessary1_residual(rho_ab, sigma_ab, ch, alphas),
+                   necessary2=necessary2_residual(rho_ab, sigma_ab, ch),
                    dpi_gap=dpi_gap(rho_ab, sigma_ab, ch, alphas))
 
 

@@ -137,7 +137,7 @@ def test_criterion_05_saturation_equivalence():
                 report = full_report(ctx, alpha)
                 worst_res = max(worst_res, report.max_residual())
                 worst_gap = max(worst_gap, abs(dpi_gap(rho_ab, sigma_ab, ch, alpha)))
-            worst_rec = max(worst_rec, recovery_error(rho_ab, sigma_ab, dims))
+            worst_rec = max(worst_rec, recovery_error(rho_ab, sigma_ab, ch))
             ci = CompressionIsometry(rho_ab, *dims)
             dop = RelativeModularOperator(sigma_ab, rho_ab)
             worst_comm = max(worst_comm, jensen_commutator_norm(ci, dop))
@@ -230,10 +230,10 @@ def test_criterion_10_alpha_family_recovery():
         sigma_ab = random_density(4, rng)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x = g @ dagger(g)
-        via_family = alpha_recover(sigma_ab, (2, 2), 0.5, x)
+        via_family = alpha_recover(sigma_ab, ch, 0.5, x)
         worst_half = max(worst_half, frobenius(via_family - petz_recover(sigma_ab, ch, x)))
         for alpha in (0.2, 0.5, 0.8):
-            out = alpha_recover(sigma_ab, (2, 2), alpha, x)
+            out = alpha_recover(sigma_ab, ch, alpha, x)
             worst_trace = max(worst_trace, abs(np.trace(out) - np.trace(x)))
             if alpha != 0.5:
                 minima[alpha] = min(
@@ -243,7 +243,7 @@ def test_criterion_10_alpha_family_recovery():
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), stream(1010, 100, trial))
         rho_a = partial_trace(rho_ab.matrix, (2, 2), "B")
         for alpha in (0.2, 0.5, 0.8):
-            out = alpha_recover(sigma_ab, (2, 2), alpha, rho_a)
+            out = alpha_recover(sigma_ab, ch, alpha, rho_a)
             worst_rec = max(worst_rec, frobenius(out - rho_ab.matrix))
     print(f"[criterion 10] reported positivity minima off alpha=1/2: "
           f"alpha=0.2 -> {minima[0.2]:.3e}, alpha=0.8 -> {minima[0.8]:.3e}")

@@ -244,6 +244,10 @@ class TestMain:
         ({"beta_grid": [[float("nan"), 0]]}, []),
         ({"beta_grid": [[float("inf"), 0]]}, []),
         ({"beta_grid": [[0, float("nan")]]}, []),
+        # The report format is checked before the scan runs, with or
+        # without a report path.
+        ({"format": "xml"}, []),
+        ({"format": 5, "out": "o.csv"}, []),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
         named = config.get("scenario") if isinstance(config, dict) else None

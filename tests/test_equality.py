@@ -6,8 +6,10 @@ from renyidpi import (
     DensityMatrix,
     DimensionMismatch,
     InvalidAlpha,
+    KrausChannel,
     NotPositiveDefinite,
     RECOVERABLE_KINDS,
+    SATURATION_TOL,
     RelativeModularOperator,
     RenyiOrder,
     SingularOutputState,
@@ -32,6 +34,7 @@ from renyidpi import (
     petz_renyi,
     random_channel,
     random_density,
+    random_unitary,
     recovery_error,
     sandwiched_renyi,
     stinespring_dilate,
@@ -76,21 +79,20 @@ class TestEigensolveCount:
         rho_ab, sigma_ab = build_recoverable_triple("blocked", dims, 62)
         twin_rho, twin_sigma = build_recoverable_triple("blocked", dims, 62)
         calls = counting(monkeypatch, np.linalg, "eigh")
-        partial_trace_channel(*dims)
+        ch = partial_trace_channel(*dims)
         ci = CompressionIsometry(rho_ab, *dims)
         jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
-        err = recovery_error(rho_ab, sigma_ab, dims)
-        necessary2_residual(rho_ab, sigma_ab, dims)
+        err = recovery_error(rho_ab, sigma_ab, ch)
+        necessary2_residual(rho_ab, sigma_ab, ch)
         assert calls == []
 
         alphas = np.array(orders)
         betas = np.array([default_beta_grid(a) for a in orders])
-        ch = partial_trace_channel(*dims)
         t3_residual(twin_rho, twin_sigma, ch, alphas, betas)
-        petz_beta_residual(twin_rho, twin_sigma, dims, betas)
+        petz_beta_residual(twin_rho, twin_sigma, ch, betas)
         t1_residual(twin_rho, twin_sigma, ch, alphas)
-        t1_geo_residual(twin_rho, twin_sigma, dims, alphas)
-        necessary1_residual(twin_rho, twin_sigma, dims, alphas)
+        t1_geo_residual(twin_rho, twin_sigma, ch, alphas)
+        necessary1_residual(twin_rho, twin_sigma, ch, alphas)
         dpi_gap(twin_rho, twin_sigma, ch, alphas)
         families = len(calls)
         ctx = SaturationContext.build(rho_ab, sigma_ab, dims, orders)
@@ -131,11 +133,12 @@ class TestVectorizedFamilies:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     def test_petz_beta_array_matches_scalar_formula(self, dims):
+        ch = partial_trace_channel(*dims)
         eye_b = np.eye(dims[1])
         for rho, sigma in self.triples(dims):
             rho_a = DensityMatrix(partial_trace(rho.matrix, dims, "B"))
             sigma_a = DensityMatrix(partial_trace(sigma.matrix, dims, "B"))
-            values = petz_beta_residual(rho, sigma, dims, self.BETAS)
+            values = petz_beta_residual(rho, sigma, ch, self.BETAS)
             assert values.shape == self.BETAS.shape
             for beta, value in zip(self.BETAS, values):
                 beta = complex(beta)
@@ -143,14 +146,14 @@ class TestVectorizedFamilies:
                 rhs = np.kron(sigma_a.power(beta) @ rho_a.power(-beta), eye_b)
                 want = frobenius(lhs - rhs) / np.sqrt(rho.dim)
                 assert abs(value - want) <= 1e-12
-                assert abs(value - petz_beta_residual(rho, sigma, dims, beta)) <= 1e-12
+                assert abs(value - petz_beta_residual(rho, sigma, ch, beta)) <= 1e-12
             assert values[0] == 0.0
 
     def test_scalar_beta_gives_a_float(self):
         rho, sigma = random_pair(4, 62)
         ch = partial_trace_channel(2, 2)
         assert isinstance(t3_residual(rho, sigma, ch, 0.5, 0.5 + 1j), float)
-        assert isinstance(petz_beta_residual(rho, sigma, (2, 2), -0.5), float)
+        assert isinstance(petz_beta_residual(rho, sigma, ch, -0.5), float)
 
 
 class TestOrderStacks:
@@ -171,10 +174,10 @@ class TestOrderStacks:
         rho, sigma = random_pair(4, 72)
         ch = partial_trace_channel(2, 2)
         values = (t1_residual(rho, sigma, ch, 0.5),
-                  t1_geo_residual(rho, sigma, (2, 2), 0.5),
+                  t1_geo_residual(rho, sigma, ch, 0.5),
                   t3_residual(rho, sigma, ch, 0.5, 0.5j),
-                  petz_beta_residual(rho, sigma, (2, 2), 0.5j),
-                  necessary2_residual(rho, sigma, (2, 2)))
+                  petz_beta_residual(rho, sigma, ch, 0.5j),
+                  necessary2_residual(rho, sigma, ch))
         assert all(type(x) is float for x in values)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
@@ -188,16 +191,16 @@ class TestOrderStacks:
         for rho, sigma in self.triples(dims):
             scalar = {
                 "t1": lambda a: t1_residual(rho, sigma, ch, a),
-                "t1_geo": lambda a: t1_geo_residual(rho, sigma, dims, a),
-                "necessary1": lambda a: necessary1_residual(rho, sigma, dims, a),
+                "t1_geo": lambda a: t1_geo_residual(rho, sigma, ch, a),
+                "necessary1": lambda a: necessary1_residual(rho, sigma, ch, a),
                 "dpi_gap": lambda a: dpi_gap(rho, sigma, ch, a),
                 "sandwiched": lambda a: sandwiched_renyi(rho, sigma, a),
                 "petz": lambda a: petz_renyi(rho, sigma, a),
             }
             stacked = {
                 "t1": t1_residual(rho, sigma, ch, alphas),
-                "t1_geo": t1_geo_residual(rho, sigma, dims, alphas),
-                "necessary1": necessary1_residual(rho, sigma, dims, alphas),
+                "t1_geo": t1_geo_residual(rho, sigma, ch, alphas),
+                "necessary1": necessary1_residual(rho, sigma, ch, alphas),
                 "dpi_gap": dpi_gap(rho, sigma, ch, alphas),
                 "sandwiched": sandwiched_renyi(rho, sigma, alphas),
                 "petz": petz_renyi(rho, sigma, alphas),
@@ -207,12 +210,12 @@ class TestOrderStacks:
                 assert values.shape == alphas.shape and np.array_equal(values, want), name
             for grid in grids.values():
                 t3 = t3_residual(rho, sigma, ch, alphas, grid)
-                pb = petz_beta_residual(rho, sigma, dims, np.broadcast_to(grid, t3.shape))
+                pb = petz_beta_residual(rho, sigma, ch, np.broadcast_to(grid, t3.shape))
                 assert t3.shape == pb.shape == (len(alphas), grid.shape[-1])
                 for i, alpha in enumerate(self.ORDERS):
                     row = grid[i] if grid.ndim == 2 else grid
                     assert np.array_equal(t3[i], t3_residual(rho, sigma, ch, alpha, row))
-                    assert np.array_equal(pb[i], petz_beta_residual(rho, sigma, dims, row))
+                    assert np.array_equal(pb[i], petz_beta_residual(rho, sigma, ch, row))
                     assert all(t3[i, j] == t3_residual(rho, sigma, ch, alpha, b)
                                for j, b in enumerate(row))
 
@@ -227,17 +230,17 @@ class TestOrderStacks:
                 grid = default_beta_grid(alpha) if beta_grid is None else beta_grid
                 assert report.beta_grid == tuple(grid)
                 assert report.t3_by_beta == tuple(t3_residual(rho, sigma, ch, alpha, grid))
-                assert report.petz_beta_by_beta == tuple(petz_beta_residual(rho, sigma, dims, grid))
+                assert report.petz_beta_by_beta == tuple(petz_beta_residual(rho, sigma, ch, grid))
                 assert report.residuals["t1"] == t1_residual(rho, sigma, ch, alpha)
-                assert report.residuals["t1_geo"] == t1_geo_residual(rho, sigma, dims, alpha)
-                assert report.residuals["necessary1"] == necessary1_residual(rho, sigma, dims, alpha)
+                assert report.residuals["t1_geo"] == t1_geo_residual(rho, sigma, ch, alpha)
+                assert report.residuals["necessary1"] == necessary1_residual(rho, sigma, ch, alpha)
                 assert report.residuals["dpi_gap"] == max(dpi_gap(rho, sigma, ch, alpha), 0.0)
 
     def test_scalar_orders_give_floats(self):
         rho, sigma = random_pair(4, 72)
         ch = partial_trace_channel(2, 2)
-        for value in (t1_residual(rho, sigma, ch, 0.5), t1_geo_residual(rho, sigma, (2, 2), 0.5),
-                      necessary1_residual(rho, sigma, (2, 2), 0.5), dpi_gap(rho, sigma, ch, 0.5),
+        for value in (t1_residual(rho, sigma, ch, 0.5), t1_geo_residual(rho, sigma, ch, 0.5),
+                      necessary1_residual(rho, sigma, ch, 0.5), dpi_gap(rho, sigma, ch, 0.5),
                       sandwiched_renyi(rho, sigma, RenyiOrder(0.5))):
             assert isinstance(value, float)
 
@@ -373,16 +376,16 @@ class TestT1:
 class TestT1Geo:
     def test_equal_states(self):
         rho_ab = random_density(4, 7)
-        assert t1_geo_residual(rho_ab, rho_ab, (2, 2), 0.5) <= 1e-9
+        assert t1_geo_residual(rho_ab, rho_ab, partial_trace_channel(2, 2), 0.5) <= 1e-9
 
     def test_recoverable_triple(self):
         rho_ab, sigma_ab = build_recoverable_triple("conjugated-product", (2, 2), 8)
         for alpha in (-0.7, 0.3, 0.7):
-            assert t1_geo_residual(rho_ab, sigma_ab, (2, 2), alpha) <= 1e-8
+            assert t1_geo_residual(rho_ab, sigma_ab, partial_trace_channel(2, 2), alpha) <= 1e-8
 
     def test_positive_on_generic(self):
         rho, sigma = random_pair(4, 9)
-        assert t1_geo_residual(rho, sigma, (2, 2), 0.4) > 1e-4
+        assert t1_geo_residual(rho, sigma, partial_trace_channel(2, 2), 0.4) > 1e-4
 
     def test_vanishes_with_t1(self):
         # The adjoint-channel form and the geometric-mean form are
@@ -391,7 +394,7 @@ class TestT1Geo:
         ch = partial_trace_channel(2, 2)
         for alpha in (-0.5, 0.5):
             assert t1_residual(rho_ab, sigma_ab, ch, alpha) <= 1e-8
-            assert t1_geo_residual(rho_ab, sigma_ab, (2, 2), alpha) <= 1e-8
+            assert t1_geo_residual(rho_ab, sigma_ab, ch, alpha) <= 1e-8
 
 
 class TestT3:
@@ -431,35 +434,45 @@ class TestT3:
         assert t1_residual(rho, sigma, ch, 0.5) > 1e-5
 
     def test_dilated_route_matches(self):
+        # Every family, run on the Stinespring dilation, agrees with its
+        # Kraus route.
         for seed in range(5):
             rho = random_density(3, stream(18, seed))
             sigma = random_density(3, stream(19, seed))
             ch = random_channel(3, 2, rng_seed=stream(20, seed))
+            routes = (ch, stinespring_dilate(ch))
             for alpha in (0.3, -0.6):
                 for beta in (-1.0 + 0j, 0.5 + 1j):
-                    direct = t3_residual(rho, sigma, ch, alpha, beta)
-                    dilated = t3_residual(rho, sigma, stinespring_dilate(ch), alpha, beta)
+                    direct, dilated = (t3_residual(rho, sigma, c, alpha, beta) for c in routes)
                     assert abs(direct - dilated) <= 1e-9
+                    direct, dilated = (petz_beta_residual(rho, sigma, c, beta) for c in routes)
+                    assert abs(direct - dilated) <= 1e-9
+                for family in (t1_geo_residual, necessary1_residual):
+                    direct, dilated = (family(rho, sigma, c, alpha) for c in routes)
+                    assert abs(direct - dilated) <= 1e-9
+            for family in (necessary2_residual, recovery_error):
+                direct, dilated = (family(rho, sigma, c) for c in routes)
+                assert abs(direct - dilated) <= 1e-9
 
 
 class TestPetzBeta:
     def test_equal_states(self):
         rho = random_density(4, 21)
         for beta in (0.5 + 0j, -1.0 + 0j, 1j):
-            assert petz_beta_residual(rho, rho, (2, 2), beta) <= 1e-10
+            assert petz_beta_residual(rho, rho, partial_trace_channel(2, 2), beta) <= 1e-10
 
     def test_beta_zero_exact(self):
         rho, sigma = random_pair(4, 22)
-        assert petz_beta_residual(rho, sigma, (2, 2), 0.0) == 0.0
+        assert petz_beta_residual(rho, sigma, partial_trace_channel(2, 2), 0.0) == 0.0
 
     def test_recoverable_triple(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 23)
         for beta in (-0.5 + 0j, 1.0 + 0j, 0.5 + 1j):
-            assert petz_beta_residual(rho_ab, sigma_ab, (2, 2), beta) <= 1e-8
+            assert petz_beta_residual(rho_ab, sigma_ab, partial_trace_channel(2, 2), beta) <= 1e-8
 
     def test_positive_on_generic(self):
         rho, sigma = random_pair(4, 24)
-        assert petz_beta_residual(rho, sigma, (2, 2), -0.5) > 1e-4
+        assert petz_beta_residual(rho, sigma, partial_trace_channel(2, 2), -0.5) > 1e-4
 
 
 class TestPetzRecover:
@@ -493,45 +506,56 @@ class TestPetzRecover:
         out = petz_recover(sigma, ch, y)
         assert abs(np.trace(out) - np.trace(y)) <= 1e-11
 
-    def test_singular_output_guard(self):
+    @pytest.mark.parametrize("recover", [
+        petz_recover,
+        lambda sigma, ch, y: alpha_recover(sigma, ch, 0.2, y),
+        lambda sigma, ch, y: alpha_recover(sigma, ch, 0.5, y),
+        lambda sigma, ch, y: alpha_recover(sigma, ch, -0.4, y),
+    ], ids=["petz", "alpha=0.2", "alpha=0.5", "alpha=-0.4"])
+    def test_singular_output_guard(self, recover):
         # A channel that replaces every input by |0><0| has a singular
         # output state.
         k0 = np.zeros((2, 2), dtype=complex)
         k0[0, 0] = 1.0
         k1 = np.zeros((2, 2), dtype=complex)
         k1[0, 1] = 1.0
-        from renyidpi import KrausChannel
-
         ch = KrausChannel((k0, k1))
         sigma = random_density(2, 34)
         with pytest.raises(SingularOutputState):
-            petz_recover(sigma, ch, np.eye(2) / 2)
+            recover(sigma, ch, np.eye(2) / 2)
 
 
 class TestAlphaRecover:
     def test_half_is_petz(self):
+        # petz_recover is alpha_recover at 1/2, so the reference is the
+        # Petz map built here: np.kron for the adjoint of Tr_B, and powers
+        # from a plain non-Hermitian eigendecomposition.
         sigma_ab = random_density(4, 35)
         ch = partial_trace_channel(2, 2)
+        s_half = nonhermitian_power(sigma_ab.matrix, 0.5)
+        pivot = nonhermitian_power(partial_trace(sigma_ab.matrix, (2, 2), "B"), -0.5)
         rng = np.random.default_rng(36)
         for _ in range(5):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            via_family = alpha_recover(sigma_ab, (2, 2), 0.5, x)
-            via_petz = petz_recover(sigma_ab, ch, x)
-            assert frobenius(via_family - via_petz) <= 1e-10
+            want = s_half @ np.kron(pivot @ x @ pivot, np.eye(2)) @ s_half
+            assert frobenius(alpha_recover(sigma_ab, ch, 0.5, x) - want) <= 1e-10
+            assert frobenius(petz_recover(sigma_ab, ch, x) - want) <= 1e-10
 
-    def test_trace_preserving(self):
-        sigma_ab = random_density(6, 37)
+    @pytest.mark.parametrize("ch", [partial_trace_channel(2, 3), random_channel(4, 2, rng_seed=0)],
+                             ids=["partial-trace", "random-channel"])
+    def test_trace_preserving(self, ch):
+        sigma = random_density(ch.in_dim, 37)
         rng = np.random.default_rng(38)
         for alpha in (0.2, 0.5, 0.8, -0.4):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            out = alpha_recover(sigma_ab, (2, 3), alpha, x)
+            out = alpha_recover(sigma, ch, alpha, x)
             assert abs(np.trace(out) - np.trace(x)) <= 1e-11
 
     def test_recovers_on_saturating_triples(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 39)
         rho_a = DensityMatrix(partial_trace(rho_ab.matrix, (2, 2), "B"))
         for alpha in (0.2, 0.5, 0.8):
-            out = alpha_recover(sigma_ab, (2, 2), alpha, rho_a.matrix)
+            out = alpha_recover(sigma_ab, partial_trace_channel(2, 2), alpha, rho_a.matrix)
             assert frobenius(out - rho_ab.matrix) <= 1e-8
 
     def test_positivity_at_half_only_probed(self):
@@ -544,7 +568,7 @@ class TestAlphaRecover:
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             x = g @ dagger(g)
             for alpha in minima:
-                out = alpha_recover(sigma_ab, (2, 2), alpha, x)
+                out = alpha_recover(sigma_ab, partial_trace_channel(2, 2), alpha, x)
                 minima[alpha].append(np.linalg.eigvalsh(0.5 * (out + dagger(out))).min())
         assert min(minima[0.5]) >= -1e-10
 
@@ -552,24 +576,70 @@ class TestAlphaRecover:
 class TestNecessaryConditions:
     def test_necessary2_equal_states(self):
         rho = random_density(4, 42)
-        assert necessary2_residual(rho, rho, (2, 2)) <= 1e-10
+        assert necessary2_residual(rho, rho, partial_trace_channel(2, 2)) <= 1e-10
 
     def test_on_recoverable(self):
         rho_ab, sigma_ab = build_recoverable_triple("blocked", (2, 2), 43)
-        assert necessary2_residual(rho_ab, sigma_ab, (2, 2)) <= 1e-8
+        assert necessary2_residual(rho_ab, sigma_ab, partial_trace_channel(2, 2)) <= 1e-8
         for alpha in (0.3, -0.5):
-            assert necessary1_residual(rho_ab, sigma_ab, (2, 2), alpha) <= 1e-8
+            assert necessary1_residual(rho_ab, sigma_ab, partial_trace_channel(2, 2), alpha) <= 1e-8
 
     def test_positive_on_generic(self):
         rho, sigma = random_pair(4, 44)
-        assert necessary2_residual(rho, sigma, (2, 2)) > 1e-4
+        assert necessary2_residual(rho, sigma, partial_trace_channel(2, 2)) > 1e-4
+
+
+class TestOtherChannels:
+    """The families on channels other than the marked Tr_B."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_every_condition_holds_under_a_unitary(self, d):
+        # A unitary channel is reversible, so every pair saturates data
+        # processing. Tempered states keep the residuals' operators
+        # moderate: on untempered random_density pairs t3 reaches ~1e18 in
+        # absolute terms at d = 4, roundoff of its large operators.
+        alphas = np.array(DEFAULT_ALPHA_GRID)
+        betas = np.array([default_beta_grid(a) for a in DEFAULT_ALPHA_GRID])
+        for seed in range(20):
+            rng = stream(seed)
+            ch = KrausChannel((random_unitary(d, rng),))
+            rho = DensityMatrix(equality._tempered_density(d, rng))
+            sigma = DensityMatrix(equality._tempered_density(d, rng))
+            residuals = (t1_residual(rho, sigma, ch, alphas),
+                         t1_geo_residual(rho, sigma, ch, alphas),
+                         t3_residual(rho, sigma, ch, alphas, betas),
+                         petz_beta_residual(rho, sigma, ch, betas),
+                         necessary1_residual(rho, sigma, ch, alphas),
+                         necessary2_residual(rho, sigma, ch), recovery_error(rho, sigma, ch))
+            assert all(np.max(r) <= SATURATION_TOL for r in residuals)
+            assert np.max(np.abs(dpi_gap(rho, sigma, ch, alphas))) <= 1e-9
+
+    def test_unmarked_partial_trace_gives_the_same_values(self):
+        # The marked channel reads cached reduced states and lifts with
+        # lift_b; its plain Kraus copy goes through the Kraus sums.
+        marked = partial_trace_channel(2, 3)
+        plain = KrausChannel(marked.kraus_ops)
+        alphas = np.array(DEFAULT_ALPHA_GRID)
+        betas = np.array([default_beta_grid(a) for a in DEFAULT_ALPHA_GRID])
+        families = (lambda r, s, c: t1_residual(r, s, c, alphas),
+                    lambda r, s, c: t1_geo_residual(r, s, c, alphas),
+                    lambda r, s, c: t3_residual(r, s, c, alphas, betas),
+                    lambda r, s, c: petz_beta_residual(r, s, c, betas),
+                    lambda r, s, c: necessary1_residual(r, s, c, alphas),
+                    necessary2_residual, recovery_error,
+                    lambda r, s, c: dpi_gap(r, s, c, alphas))
+        for rho, sigma in (random_pair(6, 80), random_pair(6, 81)):
+            for family in families:
+                want = np.asarray(family(rho, sigma, marked))
+                got = np.asarray(family(rho, sigma, plain))
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), np.abs(got)))
 
 
 class TestRecoverableTriples:
     def test_kinds_and_certificates(self):
         for kind in ("product", "blocked", "conjugated-product"):
             rho_ab, sigma_ab = build_recoverable_triple(kind, (2, 2), 45)
-            assert recovery_error(rho_ab, sigma_ab, (2, 2)) <= 1e-9
+            assert recovery_error(rho_ab, sigma_ab, partial_trace_channel(2, 2)) <= 1e-9
 
     def test_blocked_weights_distinct(self):
         rho_ab, sigma_ab = build_recoverable_triple("blocked", (2, 2), 46)

@@ -16,6 +16,7 @@ from renyidpi import (
     dagger,
     frobenius,
     jensen_commutator_norm,
+    partial_trace_channel,
     petz_renyi,
     quadratic_form,
     quadratic_form_superop,
@@ -200,7 +201,7 @@ class TestJensenDiagnostics:
         from renyidpi import SaturationContext, full_report, recovery_error
 
         rho_ab = random_density(4, 51)
-        assert recovery_error(rho_ab, rho_ab, (2, 2)) <= 1e-10
+        assert recovery_error(rho_ab, rho_ab, partial_trace_channel(2, 2)) <= 1e-10
         ci = CompressionIsometry(rho_ab, 2, 2)
         dop = RelativeModularOperator(rho_ab, rho_ab)
         assert jensen_commutator_norm(ci, dop) > 1e-2
@@ -254,7 +255,8 @@ class TestResolventDefect:
         ci = CompressionIsometry(rho_ab, 2, 2)
         pur = canonical_purification(ci.rho_a)
         for alpha in (0.3, -0.5):
-            dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, (2, 2), alpha)
+            dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, partial_trace_channel(2, 2),
+                                                  alpha)
             for t in (0.1, 1.0, 10.0):
                 out = resolvent_defect(ci, dop_ab, dop_a, t, pur)
                 assert out.defect <= 1e-8
@@ -265,7 +267,7 @@ class TestResolventDefect:
         sigma_ab = random_density(4, 62)
         ci = CompressionIsometry(rho_ab, 2, 2)
         pur = canonical_purification(ci.rho_a)
-        dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, (2, 2), 0.5)
+        dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, partial_trace_channel(2, 2), 0.5)
         defects = []
         for t in DEFAULT_T_GRID:
             out = resolvent_defect(ci, dop_ab, dop_a, t, pur)
@@ -277,14 +279,15 @@ class TestResolventDefect:
     def test_maximally_mixed(self):
         mm = DensityMatrix(np.eye(4) / 4)
         ci = CompressionIsometry(mm, 2, 2)
-        dop_ab, dop_a = weighted_modular_pair(mm, mm, (2, 2), 0.3)
+        dop_ab, dop_a = weighted_modular_pair(mm, mm, partial_trace_channel(2, 2), 0.3)
         out = resolvent_defect(ci, dop_ab, dop_a, 1.0, canonical_purification(ci.rho_a))
         assert out.defect <= 1e-10
 
     def test_guards_small_t(self):
         rho_ab = random_density(4, 63)
         ci = CompressionIsometry(rho_ab, 2, 2)
-        dop_ab, dop_a = weighted_modular_pair(rho_ab, random_density(4, 64), (2, 2), 0.5)
+        dop_ab, dop_a = weighted_modular_pair(rho_ab, random_density(4, 64),
+                                              partial_trace_channel(2, 2), 0.5)
         with pytest.raises(SingularResolvent):
             resolvent_defect(ci, dop_ab, dop_a, 1e-9, canonical_purification(ci.rho_a))
 
@@ -293,7 +296,7 @@ class TestResolventDefect:
         rho_ab = random_density(4, 65)
         sigma_ab = random_density(4, 66)
         ci = CompressionIsometry(rho_ab, 2, 2)
-        dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, (2, 2), -0.4)
+        dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, partial_trace_channel(2, 2), -0.4)
         u = ci.matrix
         resid = frobenius(dagger(u) @ dop_ab.matrix_power(1.0) @ u - dop_a.matrix_power(1.0))
         assert resid <= 1e-9
