@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigInvalid, DimensionMismatch, InvalidAlpha, IoFailure,
-                     NotPositiveDefinite, RenyiDpiError)
+                     NonConvergence, NotPositiveDefinite, RenyiDpiError)
 from .linalg import as_order, matrix_from_json, trace_distance
 from .quantum import DensityMatrix, partial_trace_channel, random_channel, random_density, stream
 from .divergence import (
@@ -248,10 +248,20 @@ def _variational_rows(cfg, trial, rng):
     tol_s = cfg.tolerances["variational_state"]
     opt_cfg = OptimizerConfig(restarts=cfg.restarts, seed=0)
     d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
+    try:
+        values, omegas = variational_value(rho, sigma, cfg.alpha_grid, opt_cfg)
+    except (InvalidAlpha, NonConvergence):
+        # The search rejects some order. Replay the trial order by order,
+        # so that it reports the error of the first alpha that raises, the
+        # closed form checked before the search.
+        for alpha in cfg.alpha_grid:
+            closed_form_optimizer(rho, sigma, alpha)
+            variational_value(rho, sigma, alpha, opt_cfg)
+        raise
     rows = []
-    for alpha, sand in zip(cfg.alpha_grid, d_sand):
+    for alpha, sand, value, omega in zip(cfg.alpha_grid, d_sand, values, omegas):
         closed = closed_form_optimizer(rho, sigma, alpha)
-        value, omega_hat = variational_value(rho, sigma, alpha, opt_cfg)
+        omega_hat = DensityMatrix(omega)
         gap = abs(value - closed.value)
         dist = trace_distance(omega_hat.matrix, closed.omega_star.matrix)
         rows.append(ScanRow(

@@ -5,7 +5,8 @@ route optimizes the modular quadratic form over states parameterized as
 G G^dagger / Tr[G G^dagger] with a complete-poll compass search whose
 restarts run in lockstep, every poll of every restart scored by one
 batched eigensolve; the optimum is unique, so every restart lands on the
-same state.
+same state. An array of orders tiles the restarts once per order and
+searches them all in the same lockstep.
 Integral representations of the power function provide an independent
 quadrature route to matrix powers: the trapezoid rule in v after the
 double-exponential substitution t = e^u, u = (pi/2) sinh v, with step
@@ -205,16 +206,19 @@ class OptimizerConfig:
     seed: int = 0
 
 
-def _search_objective(y: np.ndarray, alpha: float):
+def _search_objective(y: np.ndarray, alphas: np.ndarray):
     # Score maximized by the search, sign(alpha) * Tr[Y omega^alpha] with
-    # omega = G G^dagger / Tr, for a stack of G's of shape (N, d, d): one
-    # batched eigensolve for the whole stack. A G whose omega is not
-    # positive definite scores -inf; it is masked before the power, so
-    # no floating-point warning is raised.
-    sign = 1.0 if alpha > 0 else -1.0
-    eye = np.eye(y.shape[0])
+    # omega = G G^dagger / Tr, for a stack of G's of shape (N, d, d) whose
+    # rows belong to the orders owner (N,), nondecreasing indices into
+    # alphas and into the (n, d, d) stack y: one batched eigensolve for
+    # the whole stack, whatever its mix of orders. A G whose omega is not
+    # positive definite scores -inf; it is masked before the power, so no
+    # floating-point warning is raised.
+    signs = np.where(alphas > 0, 1.0, -1.0)
+    alpha_list = alphas.tolist()
+    eye = np.eye(y.shape[-1])
 
-    def score(g: np.ndarray) -> np.ndarray:
+    def score(g: np.ndarray, owner: np.ndarray) -> np.ndarray:
         w = np.einsum("nij,nkj->nik", g, g.conj())
         tr = np.einsum("nii->n", w).real
         ok = (tr > 0.0) & np.isfinite(tr)
@@ -222,26 +226,36 @@ def _search_objective(y: np.ndarray, alpha: float):
         evals, vecs = np.linalg.eigh(w)
         ok &= evals[:, 0] > 0.0
         evals = np.where(ok[:, None], evals, 1.0)
-        diag = np.einsum("nji,jk,nki->ni", vecs.conj(), y, vecs).real
-        return np.where(ok, sign * np.sum(diag * evals**alpha, axis=1), -np.inf)
+        diag = np.einsum("nji,njk,nki->ni", vecs.conj(), y[owner], vecs).real
+        # Each order's block of rows takes its power with a Python float
+        # exponent, so that every score equals that of a one-order stack
+        # bit for bit (see _per_order).
+        bounds = np.searchsorted(owner, np.arange(len(alpha_list) + 1)).tolist()
+        for alpha, lo, hi in zip(alpha_list, bounds, bounds[1:]):
+            evals[lo:hi] **= alpha
+        return np.where(ok, signs[owner] * np.sum(diag * evals, axis=1), -np.inf)
 
-    return sign, score
+    return signs, score
 
 
-def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig
+def _pattern_search(score, g0: np.ndarray, owner: np.ndarray, cfg: OptimizerConfig
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Complete-poll compass search from each start in the stack g0, shape
-    # (R, d, d), over the real and imaginary parts of the entries of G.
-    # Each poll scores every +-step move of every unconverged restart in
-    # one call; a restart takes its best strictly improving move, the
-    # first one on ties, or else shrinks its step. Returns the final G's,
-    # their scores and the converged flags.
+    # (R, d, d), over the real and imaginary parts of the entries of G;
+    # owner (R,), nondecreasing, is the order each start is scored at, and
+    # the unconverged rows keep that order in every poll. Each poll scores
+    # every +-step move of every unconverged restart in one call; a
+    # restart takes its best strictly improving move, the first one on
+    # ties, or else shrinks its step. Steps, moves and convergence are per
+    # restart, so each restart follows the trajectory it has when
+    # searched alone. Returns the final G's, their scores and the
+    # converged flags.
     r, d = g0.shape[0], g0.shape[1]
     units = np.eye(d * d).reshape(d * d, d, d)
     units = np.concatenate([units, 1j * units])
     moves = np.stack([units, -units], axis=1).reshape(-1, d, d)
     g = g0.astype(complex)
-    best = score(g)
+    best = score(g, owner)
     step = np.full(r, SEARCH_INITIAL_STEP)
     converged = np.zeros(r, dtype=bool)
     history = [best.copy()]
@@ -250,7 +264,8 @@ def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig
         if idx.size == 0:
             break
         trial = g[idx, None] + step[idx, None, None, None] * moves
-        vals = score(trial.reshape(-1, d, d)).reshape(idx.size, len(moves))
+        vals = score(trial.reshape(-1, d, d), np.repeat(owner[idx], len(moves)))
+        vals = vals.reshape(idx.size, len(moves))
         pick = np.argmax(vals, axis=1)
         top = vals[np.arange(idx.size), pick]
         up = top > best[idx]
@@ -267,40 +282,55 @@ def _pattern_search(score, g0: np.ndarray, cfg: OptimizerConfig
 
 
 def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
-                      cfg: OptimizerConfig | None = None) -> tuple[float, DensityMatrix]:
+                      cfg: OptimizerConfig | None = None):
     """Optimize the modular quadratic form over omega numerically.
 
     Returns (attained value, optimizing state). The form is strictly
     concave (alpha > 0) or convex (alpha < 0) in omega, so the multi-
     restart search converges to the unique optimizer; a NonConvergence
     carrying the best value is raised if no restart settles.
+
+    A 1-D array of n orders runs the restarts of every order in one
+    lockstep search and returns (values (n,), omegas (n, d, d)), each
+    omega G G^dagger / Tr of its order's best restart; values and the
+    DensityMatrix of each omega equal the scalar call. InvalidAlpha and
+    NonConvergence name the first order that raises them.
     """
-    order = as_order(order)
+    a = order_array(order)
     _check_pair(rho, sigma)
-    if abs(order.alpha) < ALPHA_VARIATIONAL_MIN:
+    alphas = np.atleast_1d(a)
+    tiny = np.abs(alphas) < ALPHA_VARIATIONAL_MIN
+    if tiny.any():
         raise InvalidAlpha(
-            f"variational search needs |alpha| >= {ALPHA_VARIATIONAL_MIN}, got {order.alpha}"
+            f"variational search needs |alpha| >= {ALPHA_VARIATIONAL_MIN}, "
+            f"got {float(alphas[tiny][0])}"
         )
     cfg = cfg or OptimizerConfig()
-    a = order.alpha
-    y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
-    sign, score = _search_objective(y, a)
-    rng = stream(cfg.seed)
     d = rho.dim
+    y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt()).reshape(-1, d, d)
+    signs, score = _search_objective(y, alphas)
+    rng = stream(cfg.seed)
     starts = [np.eye(d, dtype=complex)]
     starts += [ginibre(rng, d, d) for _ in range(max(cfg.restarts, 1) - 1)]
-    g, scores, converged = _pattern_search(score, np.stack(starts), cfg)
-    k = int(np.argmax(scores))
-    best_score = float(scores[k])
-    if not np.isfinite(best_score):
-        raise NonConvergence("search produced no finite value", best_value=None)
-    if not converged.any():
-        raise NonConvergence(
-            "no restart reached the step floor", best_value=sign * best_score
-        )
-    w = g[k] @ dagger(g[k])
-    omega_hat = DensityMatrix(w / np.trace(w).real)
-    return sign * best_score, omega_hat
+    n, r = alphas.size, len(starts)
+    g, scores, converged = _pattern_search(score, np.tile(np.stack(starts), (n, 1, 1)),
+                                           np.repeat(np.arange(n), r), cfg)
+    g, scores, converged = (x.reshape((n, r) + x.shape[1:]) for x in (g, scores, converged))
+    k = np.argmax(scores, axis=1)
+    best = scores[np.arange(n), k]
+    omegas = np.empty((n, d, d), dtype=complex)
+    for j, x in enumerate(g[np.arange(n), k]):
+        if not np.isfinite(best[j]):
+            raise NonConvergence("search produced no finite value", best_value=None)
+        if not converged[j].any():
+            raise NonConvergence(
+                "no restart reached the step floor", best_value=float(signs[j] * best[j])
+            )
+        w = x @ dagger(x)
+        omegas[j] = w / np.trace(w).real
+    if not a.ndim:
+        return float(signs[0] * best[0]), DensityMatrix(omegas[0])
+    return signs * best, omegas
 
 
 def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):

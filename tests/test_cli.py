@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from renyidpi import ConfigInvalid, equality, matrix_to_json
+from renyidpi import (ConfigInvalid, RenyiDpiError, closed_form_optimizer, equality,
+                      matrix_to_json, random_density, stream)
 from renyidpi.cli import (
     CSV_COLUMNS,
     DEFAULT_ALPHA_GRID,
@@ -100,6 +101,44 @@ class TestScenarios:
         assert not summary["pass"]
         assert len(summary["errors"]) == 2
         assert all(not r.dpi_ok for r in rows)
+
+
+def _closed_form_error(seed: int, trial: int, alpha: float) -> str:
+    # The error record of the closed form at alpha on the pair that
+    # variational-check draws for (seed, trial).
+    rng = stream(seed, trial)
+    rho, sigma = random_density(2, rng), random_density(2, rng)
+    with pytest.raises(RenyiDpiError) as info:
+        closed_form_optimizer(rho, sigma, alpha)
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+class TestVariationalErrorOrder:
+    # variational-check searches the whole grid before its alpha loop; a
+    # failing trial still reports the error of the first alpha that
+    # raises, with the closed form checked before the search.
+
+    def test_failing_trial_reports_the_closed_form_error(self):
+        # Trial 0 of seed 1 fails at alpha = 0.9 alone.
+        _, summary = run(ExperimentConfig(scenario="variational-check", seed=1, trials=1))
+        rng = stream(1, 0)
+        rho, sigma = random_density(2, rng), random_density(2, rng)
+        for alpha in DEFAULT_ALPHA_GRID[:-1]:
+            closed_form_optimizer(rho, sigma, alpha)
+        assert DEFAULT_ALPHA_GRID[-1] == 0.9
+        want = _closed_form_error(1, 0, 0.9)
+        assert want.startswith("NotPositiveDefinite: ")
+        assert summary["errors"] == [{"trial": 0, "error": want}]
+
+    def test_an_order_the_search_rejects_comes_in_grid_order(self):
+        # |alpha| < 1e-3 fails the search of the whole grid, yet the
+        # closed-form error at an earlier alpha is the one reported.
+        for grid, want in (((0.9, 5e-4), _closed_form_error(1, 0, 0.9)),
+                           ((5e-4, 0.9), "InvalidAlpha: variational search needs "
+                                         "|alpha| >= 0.001, got 0.0005")):
+            _, summary = run(ExperimentConfig(scenario="variational-check", seed=1,
+                                              trials=1, alpha_grid=grid))
+            assert summary["errors"] == [{"trial": 0, "error": want}]
 
 
 class TestAlphaIndependentWork:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from renyidpi import (
     InvalidAlpha,
     InvalidOrder,
     NonConvergence,
+    NotPositiveDefinite,
     OptimizerConfig,
     QuadratureFailure,
     RenyiOrder,
@@ -343,49 +346,118 @@ def scalar_search_score(y, alpha, g):
     return sign * float(np.sum(diag * evals**alpha))
 
 
+def one_order_score(y, alpha, g):
+    # Score of a stack of full-rank G's at one order, its eigenvalues
+    # raised to a Python float: the bit-for-bit reference for each order's
+    # block of a mixed stack.
+    sign = 1.0 if alpha > 0 else -1.0
+    w = np.einsum("nij,nkj->nik", g, g.conj())
+    evals, vecs = np.linalg.eigh(w / np.einsum("nii->n", w).real[:, None, None])
+    diag = np.einsum("nji,jk,nki->ni", vecs.conj(), y, vecs).real
+    return sign * np.sum(diag * evals**alpha, axis=1)
+
+
 class TestBatchedSearch:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stacked_score_matches_scalar_formula(self):
+        # One stack holds the same G's twice, a block per order.
         rng = stream(63)
+        alphas = np.array([0.6, -0.4])
         for d in (2, 3):
             rho, sigma = random_density(d, rng), random_density(d, rng)
             singular = np.diag([1.0] * (d - 1) + [0.0]).astype(complex)
-            gs = np.stack([np.eye(d, dtype=complex), singular, np.zeros((d, d), complex)]
-                          + [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                             for _ in range(8)])
-            for alpha in (0.6, -0.4):
-                y = herm_part(rho.sqrt() @ sigma.power(-alpha) @ rho.sqrt())
-                _, score = _search_objective(y, alpha)
-                got = score(gs)
-                want = np.array([scalar_search_score(y, alpha, g) for g in gs])
-                assert got.shape == (len(gs),)
-                assert np.all(np.isneginf(got[1:3])) and np.all(np.isneginf(want[1:3]))
-                np.testing.assert_allclose(got[[0, *range(3, len(gs))]],
-                                           want[[0, *range(3, len(gs))]], rtol=1e-12)
+            block = np.stack([np.eye(d, dtype=complex), singular, np.zeros((d, d), complex)]
+                             + [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                                for _ in range(8)])
+            gs, owner = np.concatenate([block, block]), np.repeat([0, 1], len(block))
+            y = np.stack([herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt()) for a in alphas])
+            _, score = _search_objective(y, alphas)
+            got = score(gs, owner)
+            want = np.array([scalar_search_score(y[k], alphas[k], g) for g, k in zip(gs, owner)])
+            assert got.shape == (len(gs),)
+            singular_rows = np.isin(np.arange(len(gs)) % len(block), (1, 2))
+            assert np.all(np.isneginf(got[singular_rows]))
+            assert np.all(np.isneginf(want[singular_rows]))
+            np.testing.assert_allclose(got[~singular_rows], want[~singular_rows], rtol=1e-12)
+
+    def test_mixed_stack_scores_bit_for_bit(self):
+        # At alpha = 0.5 a scalar exponent is evaluated as a square root,
+        # which an array of exponents does not reproduce bit for bit.
+        rng = stream(72)
+        alphas = np.array([0.5, -0.5, 0.9])
+        rho, sigma = random_density(2, rng), random_density(2, rng)
+        y = np.stack([herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt()) for a in alphas])
+        gs = rng.standard_normal((3, 100, 2, 2)) + 1j * rng.standard_normal((3, 100, 2, 2))
+        _, score = _search_objective(y, alphas)
+        got = score(gs.reshape(-1, 2, 2), np.repeat([0, 1, 2], 100)).reshape(3, 100)
+        for k, alpha in enumerate(alphas.tolist()):
+            np.testing.assert_array_equal(got[k], one_order_score(y[k], alpha, gs[k]))
 
     def test_one_batched_eigensolve_per_poll(self, monkeypatch):
         # The opportunistic coordinate poll made ~3,000 eigensolves per
-        # d=2 solve, one per probe.
+        # d=2 solve, one per probe. An array of orders polls every order
+        # in the same eigensolve: the default grid takes about as many as
+        # one order, where ten scalar calls take ~690.
         cfg = OptimizerConfig(restarts=4, seed=0)
+        grid = np.array(DEFAULT_ALPHA_GRID)
         for seed in range(3):
             rho = random_density(2, stream(64, seed))
             sigma = random_density(2, stream(65, seed))
-            for alpha in (0.5, -0.3):
+            for order in (0.5, -0.3, grid):
                 calls = counting(monkeypatch, np.linalg, "eigh")
-                variational_value(rho, sigma, alpha, cfg)
+                variational_value(rho, sigma, order, cfg)
                 monkeypatch.undo()
                 assert len(calls) <= 150
 
     def test_poll_cap_raises_with_best_value(self):
         rho, sigma = random_density(2, 66), random_density(2, 67)
+        cfg = OptimizerConfig(restarts=4, max_sweeps=1)
+        bests = []
         for alpha in (0.4, -0.7):
             closed = closed_form_optimizer(rho, sigma, alpha).value
             with pytest.raises(NonConvergence) as info:
-                variational_value(rho, sigma, alpha, OptimizerConfig(restarts=4, max_sweeps=1))
+                variational_value(rho, sigma, alpha, cfg)
             best = info.value.best_value
             assert best is not None and np.isfinite(best)
             # One poll cannot beat the unique optimum.
             assert (best <= closed + 1e-12) if alpha > 0 else (best >= closed - 1e-12)
+            bests.append(best)
+        # An array of orders raises for its first order.
+        with pytest.raises(NonConvergence) as info:
+            variational_value(rho, sigma, np.array([0.4, -0.7]), cfg)
+        assert info.value.best_value == bests[0]
+
+    @pytest.mark.parametrize("orders", [[1e-4, 0.5], [0.5, -5e-4], [0.3, 0.7, 1e-4, -2e-4]])
+    def test_array_rejects_tiny_alpha_anywhere(self, orders):
+        first = next(a for a in orders if abs(a) < 1e-3)
+        rho = random_density(2, 32)
+        with pytest.raises(InvalidAlpha, match=f"got {first}$"):
+            variational_value(rho, random_density(2, 33), np.array(orders))
+
+    def test_empty_array_of_orders(self):
+        rho, sigma = random_density(2, 32), random_density(2, 33)
+        values, omegas = variational_value(rho, sigma, [])
+        assert values.shape == (0,) and omegas.shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("d, restarts", [(2, 3), (3, 1)])
+    def test_array_equals_scalar_calls_bit_for_bit(self, d, restarts):
+        # The default grid holds alpha = +-0.5, where a scalar exponent is
+        # evaluated as a square root. An omega below the positivity floor
+        # fails its DensityMatrix in both routes, with the same message.
+        grid = np.array(DEFAULT_ALPHA_GRID)
+        cfg = OptimizerConfig(restarts=restarts, seed=5)
+        rho, sigma = random_density(d, stream(70, d)), random_density(d, stream(71, d))
+        values, omegas = variational_value(rho, sigma, grid, cfg)
+        assert values.shape == grid.shape and omegas.shape == grid.shape + (d, d)
+        for alpha, value, omega in zip(grid.tolist(), values, omegas):
+            try:
+                want_value, want_omega = variational_value(rho, sigma, alpha, cfg)
+            except NotPositiveDefinite as exc:
+                with pytest.raises(NotPositiveDefinite, match=re.escape(str(exc))):
+                    DensityMatrix(omega)
+                continue
+            assert value == want_value
+            np.testing.assert_array_equal(herm_part(omega), want_omega.matrix)
 
     def test_matches_closed_form_at_d3(self):
         cfg = OptimizerConfig(restarts=4, seed=3)
