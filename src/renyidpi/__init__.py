@@ -26,7 +26,6 @@ from .linalg import (
     EPS_POS,
     SpectralDecomposition,
     dagger,
-    devectorize,
     frobenius,
     herm_part,
     hermitian_eig,
@@ -43,9 +42,7 @@ from .linalg import (
 from .quantum import (
     DensityMatrix,
     KrausChannel,
-    PurifiedState,
     StinespringIsometry,
-    canonical_purification,
     ginibre,
     identity_channel,
     partial_trace_channel,
@@ -71,16 +68,12 @@ from .modular import (
 from .divergence import (
     OptimizerConfig,
     OptimizerResult,
-    RenyiOrder,
-    araki_masuda_norm,
-    as_order,
     closed_form_optimizer,
     dpi_gap,
     integral_power_quadrature,
     integral_representation_check,
     petz_renyi,
     relative_entropy,
-    relative_entropy_modular,
     sandwiched_renyi,
     variational_value,
 )

@@ -30,10 +30,12 @@ import numpy as np
 
 from .errors import (ConfigInvalid, DimensionMismatch, InvalidAlpha, IoFailure,
                      NonConvergence, NotPositiveDefinite, RenyiDpiError)
-from .linalg import as_order, matrix_from_json, trace_distance
+from .linalg import matrix_from_json, order_array, trace_distance
 from .quantum import DensityMatrix, partial_trace_channel, random_channel, random_density, stream
 from .divergence import (
     OptimizerConfig,
+    check_quadrature_order,
+    check_variational_orders,
     closed_form_optimizer,
     dpi_gap,
     integral_representation_check,
@@ -129,7 +131,13 @@ class ExperimentConfig:
             raise ConfigInvalid(f"dims must be two integers >= 2, got {self.dims}")
         self.dims = (int(self.dims[0]), int(self.dims[1]))
         try:
-            grid = tuple(as_order(a).alpha for a in self.alpha_grid)
+            grid = tuple(float(order_array(a)) for a in self.alpha_grid)
+            # The scenarios whose methods take a narrower alpha domain.
+            if self.scenario == "variational-check":
+                check_variational_orders(np.array(grid))
+            elif self.scenario == "integral-check":
+                for a in grid:
+                    check_quadrature_order(a)
         except (InvalidAlpha, TypeError, ValueError) as exc:
             raise ConfigInvalid(str(exc)) from exc
         if not grid:
@@ -250,8 +258,8 @@ def _variational_rows(cfg, trial, rng):
     d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
     try:
         values, omegas = variational_value(rho, sigma, cfg.alpha_grid, opt_cfg)
-    except (InvalidAlpha, NonConvergence):
-        # The search rejects some order. Replay the trial order by order,
+    except NonConvergence:
+        # The search fails at some order. Replay the trial order by order,
         # so that it reports the error of the first alpha that raises, the
         # closed form checked before the search.
         for alpha in cfg.alpha_grid:

@@ -20,24 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidAlpha,
-    InvalidOrder,
-    NonConvergence,
-    QuadratureFailure,
-)
-from .linalg import (  # RenyiOrder is re-exported from here
-    RenyiOrder,
-    as_order,
-    dagger,
-    frobenius,
-    herm_part,
-    matrix_power_psd,
-    order_array,
-    vectorize,
-)
-from .modular import RelativeModularOperator, quadratic_form
+from .errors import DimensionMismatch, InvalidAlpha, NonConvergence, QuadratureFailure
+from .linalg import dagger, frobenius, herm_part, matrix_power_psd, order_array
+from .modular import quadratic_form
 from .quantum import DensityMatrix, KrausChannel, ginibre, stream
 
 # Divergences of numerically identical states are returned as exact zeros
@@ -72,6 +57,12 @@ def _states_equal(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
     return frobenius(rho.matrix - sigma.matrix) < NEAR_EQUAL_TOL
 
 
+def _middle_factor(rho: DensityMatrix, sigma: DensityMatrix, a) -> np.ndarray:
+    # Y = rho^(1/2) sigma^-a rho^(1/2), hermitized; an (n, d, d) stack for
+    # an array of n orders.
+    return herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
+
+
 def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
     """Sandwiched Renyi divergence, in nats.
 
@@ -84,7 +75,7 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
     _check_pair(rho, sigma)
     if _states_equal(rho, sigma):
         return np.zeros(a.shape) if a.ndim else 0.0
-    y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
+    y = _middle_factor(rho, sigma, a)
     w = np.maximum(np.linalg.eigvalsh(y), 0.0)
     return _per_order(_sandwiched_from_spectrum, w, a)
 
@@ -130,45 +121,13 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ (rho.log() - sigma.log())).real)
 
 
-def relative_entropy_modular(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Relative entropy through the modular route.
-
-    Evaluates -<rho^(1/2)| log(Delta_{sigma,rho}) |rho^(1/2)> with the
-    logarithm taken on the materialized super-operator matrix; serves as
-    an independent cross-check of the direct formula.
-    """
-    _check_pair(rho, sigma)
-    if _states_equal(rho, sigma):
-        return 0.0
-    dop = RelativeModularOperator(sigma, rho)
-    vec = vectorize(rho.sqrt())
-    return float(-np.real(np.vdot(vec, dop.log_matrix() @ vec)))
-
-
-def araki_masuda_norm(rho: DensityMatrix, sigma: DensityMatrix, p: float) -> float:
-    """Weighted p-norm || sigma^(1/p - 1/2) rho^(1/2) ||_p.
-
-    The variational weighted norm collapses to this closed form; p = 2 is
-    excluded because the two variational branches meet there.
-    """
-    p = float(p)
-    if p < 1.0 or p == 2.0:
-        raise InvalidOrder(f"order must lie in [1,2) or (2,inf), got {p}")
-    _check_pair(rho, sigma)
-    y = herm_part(rho.sqrt() @ sigma.power(2.0 / p - 1.0) @ rho.sqrt())
-    # Scaled by the top eigenvalue, as in sandwiched_renyi: w ** (p/2)
-    # overflows for the large p of orders near alpha = 1.
-    w = np.maximum(np.linalg.eigvalsh(y), 0.0)
-    return float(np.sqrt(w[-1]) * np.sum((w / w[-1]) ** (p / 2.0)) ** (1.0 / p))
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizerResult:
     """Closed-form optimizer of the modular quadratic form.
 
     omega_star maximizes (alpha > 0) or minimizes (alpha < 0) the form;
     value is the attained optimum exp(alpha * divergence); normalizer is
-    Tr Y^(p/2).
+    Tr Y^n, n = 1/(1-alpha).
     """
 
     omega_star: DensityMatrix
@@ -178,13 +137,12 @@ class OptimizerResult:
 
 
 def closed_form_optimizer(rho: DensityMatrix, sigma: DensityMatrix, order) -> OptimizerResult:
-    """Unique optimizer omega_* = Y^(p/2) / Tr Y^(p/2) with
+    """Unique optimizer omega_* = Y^n / Tr Y^n with n = 1/(1-alpha) and
     Y = rho^(1/2) sigma^-alpha rho^(1/2)."""
-    order = as_order(order)
+    a = float(order_array(order))
     _check_pair(rho, sigma)
-    a = order.alpha
-    y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
-    y_pow = herm_part(matrix_power_psd(y, order.p / 2.0))
+    y = _middle_factor(rho, sigma, a)
+    y_pow = herm_part(matrix_power_psd(y, 1.0 / (1.0 - a)))
     normalizer = float(np.trace(y_pow).real)
     omega_star = DensityMatrix(y_pow / normalizer)
     value = quadratic_form(rho, sigma, omega_star, a)
@@ -281,6 +239,17 @@ def _pattern_search(score, g0: np.ndarray, owner: np.ndarray, cfg: OptimizerConf
     return g, best, converged
 
 
+def check_variational_orders(alphas: np.ndarray) -> None:
+    """Raise InvalidAlpha for the first of the validated alphas (a 1-D
+    array) below the search's working range |alpha| >= ALPHA_VARIATIONAL_MIN."""
+    tiny = np.abs(alphas) < ALPHA_VARIATIONAL_MIN
+    if tiny.any():
+        raise InvalidAlpha(
+            f"variational search needs |alpha| >= {ALPHA_VARIATIONAL_MIN}, "
+            f"got {float(alphas[tiny][0])}"
+        )
+
+
 def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
                       cfg: OptimizerConfig | None = None):
     """Optimize the modular quadratic form over omega numerically.
@@ -299,15 +268,10 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
     a = order_array(order)
     _check_pair(rho, sigma)
     alphas = np.atleast_1d(a)
-    tiny = np.abs(alphas) < ALPHA_VARIATIONAL_MIN
-    if tiny.any():
-        raise InvalidAlpha(
-            f"variational search needs |alpha| >= {ALPHA_VARIATIONAL_MIN}, "
-            f"got {float(alphas[tiny][0])}"
-        )
+    check_variational_orders(alphas)
     cfg = cfg or OptimizerConfig()
     d = rho.dim
-    y = herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt()).reshape(-1, d, d)
+    y = _middle_factor(rho, sigma, a).reshape(-1, d, d)
     signs, score = _search_objective(y, alphas)
     rng = stream(cfg.seed)
     starts = [np.eye(d, dtype=complex)]
@@ -341,6 +305,15 @@ def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):
     return before - after
 
 
+def check_quadrature_order(alpha) -> float:
+    """alpha as a float if it lies in the open domain (-1,0) u (0,1) of the
+    integral representation; InvalidAlpha otherwise."""
+    alpha = float(alpha)
+    if not (-1.0 < alpha < 0.0 or 0.0 < alpha < 1.0):
+        raise InvalidAlpha(f"integral representation needs alpha in (-1,0) or (0,1), got {alpha}")
+    return alpha
+
+
 def integral_power_quadrature(m: np.ndarray, alpha: float) -> np.ndarray:
     """Matrix power m^alpha via the resolvent integral representation.
 
@@ -363,9 +336,7 @@ def integral_power_quadrature(m: np.ndarray, alpha: float) -> np.ndarray:
     References: Hale, Higham and Trefethen, SIAM J. Numer. Anal. 2008;
     Tatsuoka, Sogabe, Miyatake and Zhang, ETNA 2021.
     """
-    alpha = float(alpha)
-    if not (-1.0 < alpha < 0.0 or 0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"integral representation needs alpha in (-1,0) or (0,1), got {alpha}")
+    alpha = check_quadrature_order(alpha)
     m = herm_part(np.asarray(m, dtype=complex))
     try:
         np.linalg.cholesky(m)

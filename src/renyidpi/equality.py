@@ -51,7 +51,6 @@ from .errors import (
     SingularOutputState,
 )
 from .linalg import (
-    as_order,
     congruence_power,
     dagger,
     frobenius,
@@ -284,7 +283,7 @@ def weighted_modular_pair(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel,
     input weight lifts ch*(a_*^2) through rho^(1/2). Both weighted states
     have unit trace.
     """
-    order = as_order(order)
+    order = float(order_array(order))
     rho_out = ch.apply_density(rho)
     sigma_out = ch.apply_density(sigma)
     omega_out = closed_form_optimizer(rho_out, sigma_out, order).omega_star
@@ -401,15 +400,6 @@ class ResidualReport:
         """
         return max(v for k, v in self.residuals.items() if k != "commutator") <= tol
 
-    def to_json(self) -> dict:
-        out = {
-            "alpha": self.alpha,
-            "beta_re": [b.real for b in self.beta_grid],
-            "beta_im": [b.imag for b in self.beta_grid],
-        }
-        out.update({k: float(v) for k, v in self.residuals.items()})
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class SaturationContext:
@@ -481,7 +471,7 @@ def full_report(ctx: SaturationContext, order) -> ResidualReport:
     assembles the report of one of its orders; an order outside the grid
     raises InvalidAlpha.
     """
-    alpha = as_order(order).alpha
+    alpha = float(order_array(order))
     if alpha not in ctx.alphas:
         raise InvalidAlpha(f"alpha {alpha} is not on the context's order grid {ctx.alphas}")
     i = ctx.alphas.index(alpha)

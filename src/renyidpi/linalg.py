@@ -1,6 +1,6 @@
 """Dense complex linear algebra primitives.
 
-The validated Renyi order, Hermitian spectral calculus, principal matrix
+The alpha validator, Hermitian spectral calculus, principal matrix
 powers, row-major vectorization, partial traces, and Schatten norms.
 Everything here is a pure function over numpy arrays; dimensions are
 desk scale (a few qubits), so no attempt is made at sparsity or blocking.
@@ -36,47 +36,23 @@ EPS_POS = 1e-10
 HERM_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Renyi parameter alpha in [-1,0) u (0,1).
-
-    Derived quantities: p = 2/(1-alpha) is the weighted-norm order and
-    n = 1/(1-alpha) the conventional Renyi order of the sandwiched
-    divergence on commuting inputs.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (-1.0 <= a < 0.0 or 0.0 < a < 1.0):
-            raise InvalidAlpha(f"alpha must lie in [-1,0) or (0,1), got {a}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def p(self) -> float:
-        return 2.0 / (1.0 - self.alpha)
-
-    @property
-    def n(self) -> float:
-        return 1.0 / (1.0 - self.alpha)
-
-
-def as_order(order) -> RenyiOrder:
-    if isinstance(order, RenyiOrder):
-        return order
-    return RenyiOrder(float(order))
-
-
 def order_array(order):
     """Validated alphas of one order (a numpy float, shape ()) or of a 1-D
-    sequence of orders (a float array, shape (n,)); each entry passes
-    as_order."""
-    if isinstance(order, (float, int, np.number, RenyiOrder)) or np.ndim(order) == 0:
-        return np.float64(as_order(order).alpha)
+    sequence of orders (a float array, shape (n,)). Each must lie in
+    [-1,0) u (0,1); InvalidAlpha names the first entry that does not."""
+    if isinstance(order, (float, int, np.number)) or np.ndim(order) == 0:
+        return np.float64(_checked_alpha(order))
     if np.ndim(order) > 1:
         raise InvalidAlpha(f"orders must form a 1-D array, got shape {np.shape(order)}")
-    return np.array([as_order(a).alpha for a in order], dtype=float)
+    return np.array([_checked_alpha(a) for a in order], dtype=float)
+
+
+def _checked_alpha(order) -> float:
+    # One order as a Python float, so the one-order path stays off array ops.
+    a = float(order)
+    if not (-1.0 <= a < 0.0 or 0.0 < a < 1.0):
+        raise InvalidAlpha(f"alpha must lie in [-1,0) or (0,1), got {a}")
+    return a
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -177,9 +153,6 @@ class SpectralDecomposition:
             v = _lift(v, f.ndim - self.eigenvalues.ndim)
             f = f[..., None, :]
         return (v * f) @ dagger(v)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(lambda w: w)
 
     def power(self, z) -> np.ndarray:
         """Principal power V diag(lambda^z) V^dagger with lambda^z = exp(z ln lambda).
@@ -327,15 +300,6 @@ def vectorize(a: np.ndarray) -> np.ndarray:
     """
     a = _as_square(a)
     return a.reshape(-1).copy()
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = round(len(v) ** 0.5)
-    if d * d != len(v):
-        raise NonSquare(f"length {len(v)} is not a perfect square")
-    return v.reshape(d, d).copy()
 
 
 def schatten_norm(m: np.ndarray, p: float) -> float:

@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateWeight, DimensionMismatch, SingularResolvent
-from .linalg import as_order, dagger, frobenius, herm_part, hermitian_eig, lift_b, vectorize
-from .quantum import DensityMatrix, PurifiedState
+from .linalg import dagger, frobenius, herm_part, hermitian_eig, lift_b, order_array, vectorize
+from .quantum import DensityMatrix
 
 # Eigenvalues of a compressed operator below this cutoff are treated as
 # exact zeros of the range-of-P calculus and excluded from fractional
@@ -75,9 +75,6 @@ class RelativeModularOperator:
     def resolvent_matrix(self, t: float) -> np.ndarray:
         return self.function_matrix(lambda x: 1.0 / (x + t))
 
-    def log_matrix(self) -> np.ndarray:
-        return self.function_matrix(np.log)
-
 
 def quadratic_form(rho: DensityMatrix, sigma: DensityMatrix, omega: DensityMatrix,
                    alpha: float) -> float:
@@ -86,7 +83,7 @@ def quadratic_form(rho: DensityMatrix, sigma: DensityMatrix, omega: DensityMatri
     Evaluates to Tr[rho^(1/2) sigma^-alpha rho^(1/2) omega^alpha], a
     positive real.
     """
-    alpha = as_order(alpha).alpha
+    alpha = float(order_array(alpha))
     if not (rho.dim == sigma.dim == omega.dim):
         raise DimensionMismatch("states live on different spaces")
     val = np.trace(rho.sqrt() @ sigma.power(-alpha) @ rho.sqrt() @ omega.power(alpha))
@@ -97,7 +94,7 @@ def quadratic_form_superop(rho: DensityMatrix, sigma: DensityMatrix,
                            omega: DensityMatrix, alpha: float) -> float:
     """Same quadratic form through a brute-force eigendecomposition of the
     materialized super-operator matrix; cross-check route for tests."""
-    alpha = as_order(alpha).alpha
+    alpha = float(order_array(alpha))
     dop = RelativeModularOperator(sigma, omega)
     big = herm_part(dop.matrix_power(1.0))
     w, v = np.linalg.eigh(big)
@@ -226,9 +223,9 @@ class ResolventDefect(NamedTuple):
 
 
 def resolvent_defect(ci: CompressionIsometry, dop_ab: RelativeModularOperator,
-                     dop_a: RelativeModularOperator, t: float,
-                     rho_a_vec: PurifiedState) -> ResolventDefect:
-    """Defect of the resolvent comparison operator on the purification.
+                     dop_a: RelativeModularOperator, t: float) -> ResolventDefect:
+    """Defect of the resolvent comparison operator on the purification
+    |rho_A^(1/2)> = vectorize(ci.rho_a.sqrt()).
 
     X_t = U* (Delta_AB + t)^-1 U - (Delta_A + t)^-1 is positive
     semidefinite by operator convexity; its action on |rho_A^(1/2)>
@@ -239,10 +236,8 @@ def resolvent_defect(ci: CompressionIsometry, dop_ab: RelativeModularOperator,
         raise SingularResolvent(f"resolvent shift t={t} is below {RESOLVENT_T_MIN:.0e}")
     if dop_ab.dim != ci.rho_ab.dim or dop_a.dim != ci.d_a:
         raise DimensionMismatch("modular operators do not match the compression")
-    if rho_a_vec.dim != ci.d_a:
-        raise DimensionMismatch("purification does not live on the A space")
     u = ci.matrix
     x = dagger(u) @ dop_ab.resolvent_matrix(t) @ u - dop_a.resolvent_matrix(t)
-    defect = float(np.linalg.norm(x @ rho_a_vec.amplitudes))
+    defect = float(np.linalg.norm(x @ vectorize(ci.rho_a.sqrt())))
     min_eig = float(np.linalg.eigvalsh(herm_part(x)).min())
     return ResolventDefect(defect=defect, min_eig=min_eig)

@@ -1,8 +1,8 @@
-"""Density matrices, purifications, and CPTP channels.
+"""Density matrices and CPTP channels.
 
 States are strictly positive throughout; near-singular random samples are
-regularized toward the maximally mixed state and flagged. Channels are
-kept in Kraus form with Stinespring dilations derived on demand.
+mixed toward the maximally mixed state. Channels are kept in Kraus
+form with Stinespring dilations derived on demand.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .linalg import (
     hermitian_eig,
     lift_b,
     partial_trace,
-    vectorize,
 )
 
 TRACE_TOL = 1e-10
@@ -37,13 +36,12 @@ REG_DELTA = 1e-6
 class DensityMatrix:
     """Strictly positive, unit-trace Hermitian matrix with cached eigen-data.
 
-    Immutable after construction; `regularized` records whether the value
-    came out of the sampler's near-singularity fixup. Powers and reduced
-    states are cached per instance, so every spectral function of a state
-    reuses its one eigendecomposition.
+    Immutable after construction. Powers and reduced states are cached per
+    instance, so every spectral function of a state reuses its one
+    eigendecomposition.
     """
 
-    def __init__(self, matrix: np.ndarray, regularized: bool = False):
+    def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonSquare(f"expected a square matrix, got shape {m.shape}")
@@ -66,7 +64,6 @@ class DensityMatrix:
         self.spectral = spectral
         self.dim = int(self.matrix.shape[0])
         self.min_eig = min_eig
-        self.regularized = bool(regularized)
         self._pow_cache: dict[complex, np.ndarray] = {}
         self._reduced_cache: dict[tuple[int, int], DensityMatrix] = {}
 
@@ -100,24 +97,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eig:.3e})"
-
-
-@dataclass(frozen=True, eq=False)
-class PurifiedState:
-    """Canonical purification |rho^(1/2)> as a unit vector of length dim^2."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"purification norm {norm!r} is not 1")
-
-
-def canonical_purification(rho: DensityMatrix) -> PurifiedState:
-    """Vectorize rho^(1/2); the reduced state on the first factor is rho."""
-    return PurifiedState(dim=rho.dim, amplitudes=vectorize(rho.sqrt()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,17 +233,15 @@ def random_density(dim: int, rng_seed) -> DensityMatrix:
     """Full-rank random state rho = G G^dagger / Tr from the Ginibre ensemble.
 
     Samples with a smallest eigenvalue below REG_TRIGGER are mixed with
-    REG_DELTA * I/d and flagged as regularized.
+    REG_DELTA * I/d.
     """
     rng = stream(rng_seed)
     g = ginibre(rng, dim, dim)
     rho = g @ dagger(g)
     rho = rho / np.trace(rho).real
-    regularized = False
     if float(np.linalg.eigvalsh(herm_part(rho)).min()) < REG_TRIGGER:
         rho = (1.0 - REG_DELTA) * rho + REG_DELTA * np.eye(dim) / dim
-        regularized = True
-    return DensityMatrix(rho, regularized=regularized)
+    return DensityMatrix(rho)
 
 
 def _fix_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:

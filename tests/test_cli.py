@@ -35,6 +35,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(scenario="dpi-scan", alpha_grid=(0.0,)).validate()
 
+    def test_an_order_the_search_rejects_is_a_config_error(self):
+        # |alpha| < 1e-3 is outside the search's working range: the config
+        # is rejected before any trial runs, wherever it sits in the grid.
+        for grid in ((0.9, 5e-4), (5e-4, 0.9), (-5e-4,)):
+            cfg = ExperimentConfig(scenario="variational-check", seed=1, trials=1,
+                                   alpha_grid=grid)
+            with pytest.raises(ConfigInvalid, match=r"variational search needs "
+                                                    r"\|alpha\| >= 0\.001, got -?0\.0005"):
+                cfg.validate()
+
+    def test_integral_check_rejects_the_closed_endpoint(self):
+        # The integral representation needs alpha in (-1,0) u (0,1), so
+        # -1.0 is a config error there, though other scenarios accept it.
+        cfg = ExperimentConfig(scenario="integral-check", alpha_grid=(0.5, -1.0))
+        with pytest.raises(ConfigInvalid, match=r"needs alpha in \(-1,0\) or \(0,1\), got -1\.0"):
+            cfg.validate()
+        ExperimentConfig(scenario="divergence", alpha_grid=(0.5, -1.0)).validate()
+
     def test_nonfinite_beta(self):
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(scenario="equality-scan", beta_grid=(complex(0.5, np.inf),)).validate()
@@ -129,16 +147,6 @@ class TestVariationalErrorOrder:
         want = _closed_form_error(1, 0, 0.9)
         assert want.startswith("NotPositiveDefinite: ")
         assert summary["errors"] == [{"trial": 0, "error": want}]
-
-    def test_an_order_the_search_rejects_comes_in_grid_order(self):
-        # |alpha| < 1e-3 fails the search of the whole grid, yet the
-        # closed-form error at an earlier alpha is the one reported.
-        for grid, want in (((0.9, 5e-4), _closed_form_error(1, 0, 0.9)),
-                           ((5e-4, 0.9), "InvalidAlpha: variational search needs "
-                                         "|alpha| >= 0.001, got 0.0005")):
-            _, summary = run(ExperimentConfig(scenario="variational-check", seed=1,
-                                              trials=1, alpha_grid=grid))
-            assert summary["errors"] == [{"trial": 0, "error": want}]
 
 
 class TestAlphaIndependentWork:
@@ -287,6 +295,9 @@ class TestMain:
         # without a report path.
         ({"format": "xml"}, []),
         ({"format": 5, "out": "o.csv"}, []),
+        # An order outside the domain of the scenario's method.
+        ({"scenario": "integral-check", "alpha_grid": [-1.0]}, []),
+        ({"scenario": "variational-check", "alpha_grid": [0.0005]}, []),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, config, flags):
         named = config.get("scenario") if isinstance(config, dict) else None

@@ -6,13 +6,10 @@ import pytest
 from renyidpi import (
     DensityMatrix,
     InvalidAlpha,
-    InvalidOrder,
     NonConvergence,
     NotPositiveDefinite,
     OptimizerConfig,
     QuadratureFailure,
-    RenyiOrder,
-    araki_masuda_norm,
     closed_form_optimizer,
     dpi_gap,
     frobenius,
@@ -28,8 +25,8 @@ from renyidpi import (
     random_density,
     random_unitary,
     relative_entropy,
-    relative_entropy_modular,
     sandwiched_renyi,
+    schatten_norm,
     stream,
     trace_distance,
     variational_value,
@@ -37,6 +34,7 @@ from renyidpi import (
 )
 from renyidpi.cli import DEFAULT_ALPHA_GRID
 from renyidpi.divergence import _search_objective
+from renyidpi.linalg import order_array
 from helpers import classical_kl, classical_renyi, counting, diag_density, rand_probs
 
 HALF_HALF = diag_density([0.5, 0.5])
@@ -44,18 +42,35 @@ QUARTER = diag_density([0.25, 0.75])
 
 
 class TestRenyiOrder:
-    def test_derived_orders(self):
-        order = RenyiOrder(0.5)
-        assert order.p == pytest.approx(4.0)
-        assert order.n == pytest.approx(2.0)
+    # order_array is the one validator of the Renyi order alpha.
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.5, 2.0, np.nan, np.inf, -np.inf])
     def test_rejects_out_of_range(self, alpha):
         with pytest.raises(InvalidAlpha):
-            RenyiOrder(alpha)
+            order_array(alpha)
+        with pytest.raises(InvalidAlpha):
+            order_array([0.5, alpha])
 
     def test_endpoint_allowed(self):
-        assert RenyiOrder(-1.0).alpha == -1.0
+        assert order_array(-1.0) == -1.0
+        np.testing.assert_array_equal(order_array((-1.0, 0.5)), [-1.0, 0.5])
+
+    def test_one_order_and_a_grid(self):
+        got = order_array(0.5)
+        assert isinstance(got, np.float64) and got.shape == () and got == 0.5
+        grid = order_array([0.1, -0.3])
+        assert grid.shape == (2,) and grid.dtype == float
+
+    def test_rejects_a_2d_array(self):
+        want = "orders must form a 1-D array, got shape (1, 2)"
+        with pytest.raises(InvalidAlpha, match=re.escape(want)):
+            order_array([[0.1, 0.2]])
+
+    def test_message_names_the_first_bad_entry(self):
+        for order, bad in ((0, 0.0), ([0.5, 1.5, 0.0, 2.0], 1.5)):
+            want = f"alpha must lie in [-1,0) or (0,1), got {bad}"
+            with pytest.raises(InvalidAlpha, match=re.escape(want)):
+                order_array(order)
 
 
 class TestSandwiched:
@@ -152,48 +167,57 @@ class TestRelativeEntropy:
             sigma = random_density(3, stream(10, seed))
             assert relative_entropy(rho, sigma) >= 0.0
 
-    def test_modular_route_agrees(self):
-        for seed in range(10):
-            rho = random_density(3, stream(11, seed))
-            sigma = random_density(3, stream(12, seed))
-            direct = relative_entropy(rho, sigma)
-            assert abs(direct - relative_entropy_modular(rho, sigma)) <= 1e-10
+
+def weighted_norm(rho, sigma, p):
+    # The Araki-Masuda norm ||sigma^(1/p - 1/2) rho^(1/2)||_p, from singular values.
+    return schatten_norm(sigma.power(1.0 / p - 0.5) @ rho.sqrt(), p)
 
 
 class TestArakiMasuda:
+    # The Araki-Masuda form of the sandwiched quantity: with p = 2/(1-alpha),
+    # (alpha/2) D(rho||sigma) = log ||sigma^(-alpha/2) rho^(1/2)||_p. The
+    # Schatten norm comes from singular values, a route independent of the
+    # eigenvalues of rho^(1/2) sigma^-alpha rho^(1/2) that sandwiched_renyi
+    # closes (Muller-Lennert, Dupuis, Szehr, Fehr and Tomamichel, J. Math.
+    # Phys. 2013). The closed forms of the norm check the sandwiched
+    # quantity at alpha = 1 - 2/p.
+
     def test_equal_states_unit_norm(self):
         rho = random_density(3, 13)
         for p in (1.5, 3.0, 7.0):
-            assert araki_masuda_norm(rho, rho, p) == pytest.approx(1.0, abs=1e-12)
+            assert weighted_norm(rho, rho, p) == pytest.approx(1.0, abs=1e-12)
+            assert sandwiched_renyi(rho, rho, 1.0 - 2.0 / p) == 0.0
 
     def test_identity_reference(self):
         # sigma = I/d pulls out as a scalar.
         rho = random_density(3, 14)
         d = 3.0
         for p in (1.5, 4.0):
+            alpha = 1.0 - 2.0 / p
             expect = d ** ((1.0 - 2.0 / p) / 2.0) * float(
                 np.sum(rho.spectral.eigenvalues ** (p / 2.0)) ** (1.0 / p)
             )
-            got = araki_masuda_norm(rho, DensityMatrix(np.eye(3) / 3), p)
+            got = np.exp(0.5 * alpha * sandwiched_renyi(rho, DensityMatrix(np.eye(3) / 3), alpha))
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_diagonal_formula(self):
         rng = np.random.default_rng(15)
         p_vec, q_vec = rand_probs(rng, 3), rand_probs(rng, 3)
         p = 3.0
+        alpha = 1.0 - 2.0 / p
         expect = float(np.sum((p_vec * q_vec ** (2.0 / p - 1.0)) ** (p / 2.0)) ** (1.0 / p))
-        got = araki_masuda_norm(diag_density(p_vec), diag_density(q_vec), p)
-        assert got == pytest.approx(expect, abs=1e-12)
+        got = sandwiched_renyi(diag_density(p_vec), diag_density(q_vec), alpha)
+        assert np.exp(0.5 * alpha * got) == pytest.approx(expect, abs=1e-12)
 
     def test_consistent_with_sandwiched(self):
-        for seed in range(10):
-            rho = random_density(3, stream(16, seed))
-            sigma = random_density(3, stream(17, seed))
-            for alpha in (-0.7, -0.3, 0.3, 0.7):
-                via_norm = (2.0 / alpha) * np.log(
-                    araki_masuda_norm(rho, sigma, 2.0 / (1.0 - alpha))
-                )
-                assert abs(via_norm - sandwiched_renyi(rho, sigma, alpha)) <= 1e-10
+        for d in (2, 3, 4):
+            for seed in range(20):
+                rng = stream(seed)
+                rho, sigma = random_density(d, rng), random_density(d, rng)
+                for alpha in (-1.0, -0.7, -0.3, 0.3, 0.7, 0.9):
+                    via_norm = np.log(weighted_norm(rho, sigma, 2.0 / (1.0 - alpha)))
+                    got = 0.5 * alpha * sandwiched_renyi(rho, sigma, alpha)
+                    assert abs(got - via_norm) <= 1e-12 * abs(via_norm)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", [1000.0, 2000.0])
@@ -202,26 +226,27 @@ class TestArakiMasuda:
         for seed in range(50):
             rho = random_density(2, stream(seed, 0))
             sigma = random_density(2, stream(seed, 1))
-            assert np.isfinite(araki_masuda_norm(rho, sigma, p))
+            assert np.isfinite(sandwiched_renyi(rho, sigma, 1.0 - 2.0 / p))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 20.0, 1000.0])
     def test_diagonal_weighted_norm(self, p):
         # Classical weighted p-norm (sum_i p_i^(p/2) q_i^(1-p/2))^(1/p), in
         # the log domain so the reference itself cannot overflow.
         rng = np.random.default_rng(19)
+        alpha = 1.0 - 2.0 / p
         for _ in range(10):
             p_vec, q_vec = rand_probs(rng, 3), rand_probs(rng, 3)
             log_terms = 0.5 * p * np.log(p_vec) + (1.0 - 0.5 * p) * np.log(q_vec)
-            expect = np.exp(np.logaddexp.reduce(log_terms) / p)
-            got = araki_masuda_norm(diag_density(p_vec), diag_density(q_vec), p)
-            assert abs(got - expect) <= 1e-10 * expect
+            expect = np.logaddexp.reduce(log_terms) / p
+            got = 0.5 * alpha * sandwiched_renyi(diag_density(p_vec), diag_density(q_vec), alpha)
+            assert abs(got - expect) <= 1e-10
 
     def test_rejects_bad_orders(self):
+        # p = 2 is alpha = 0, and p < 1 is alpha < -1.
         rho = random_density(2, 18)
-        with pytest.raises(InvalidOrder):
-            araki_masuda_norm(rho, rho, 2.0)
-        with pytest.raises(InvalidOrder):
-            araki_masuda_norm(rho, rho, 0.5)
+        for p in (2.0, 0.5):
+            with pytest.raises(InvalidAlpha):
+                sandwiched_renyi(rho, rho, 1.0 - 2.0 / p)
 
 
 class TestClosedFormOptimizer:
@@ -251,9 +276,8 @@ class TestClosedFormOptimizer:
     def test_omega_star_formula(self):
         rho = random_density(2, 23)
         sigma = random_density(2, 24)
-        order = RenyiOrder(0.5)
-        res = closed_form_optimizer(rho, sigma, order)
-        rebuilt = matrix_power_psd(res.y, order.p / 2.0) / res.normalizer
+        res = closed_form_optimizer(rho, sigma, 0.5)
+        rebuilt = matrix_power_psd(res.y, 2.0) / res.normalizer
         assert frobenius(res.omega_star.matrix - rebuilt) <= 1e-10
 
 

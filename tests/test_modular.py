@@ -10,7 +10,6 @@ from renyidpi import (
     RelativeModularOperator,
     SingularResolvent,
     build_recoverable_triple,
-    canonical_purification,
     compressed_power_residual,
     compression_identity_residual,
     dagger,
@@ -137,7 +136,7 @@ class TestCompression:
     def test_maps_purification(self):
         rho_ab = random_density(6, 23)
         ci = CompressionIsometry(rho_ab, 2, 3)
-        out = ci.matrix @ canonical_purification(ci.rho_a).amplitudes
+        out = ci.matrix @ vectorize(ci.rho_a.sqrt())
         np.testing.assert_allclose(out, vectorize(rho_ab.sqrt()), atol=1e-10)
 
     def test_isometry_and_projector(self):
@@ -253,12 +252,11 @@ class TestResolventDefect:
     def test_recoverable_triples(self):
         rho_ab, sigma_ab = build_recoverable_triple("product", (2, 2), 60)
         ci = CompressionIsometry(rho_ab, 2, 2)
-        pur = canonical_purification(ci.rho_a)
         for alpha in (0.3, -0.5):
             dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, partial_trace_channel(2, 2),
                                                   alpha)
             for t in (0.1, 1.0, 10.0):
-                out = resolvent_defect(ci, dop_ab, dop_a, t, pur)
+                out = resolvent_defect(ci, dop_ab, dop_a, t)
                 assert out.defect <= 1e-8
                 assert out.min_eig >= -1e-10
 
@@ -266,11 +264,10 @@ class TestResolventDefect:
         rho_ab = random_density(4, 61)
         sigma_ab = random_density(4, 62)
         ci = CompressionIsometry(rho_ab, 2, 2)
-        pur = canonical_purification(ci.rho_a)
         dop_ab, dop_a = weighted_modular_pair(rho_ab, sigma_ab, partial_trace_channel(2, 2), 0.5)
         defects = []
         for t in DEFAULT_T_GRID:
-            out = resolvent_defect(ci, dop_ab, dop_a, t, pur)
+            out = resolvent_defect(ci, dop_ab, dop_a, t)
             # Operator convexity makes X_t PSD unconditionally.
             assert out.min_eig >= -1e-10
             defects.append(out.defect)
@@ -280,7 +277,7 @@ class TestResolventDefect:
         mm = DensityMatrix(np.eye(4) / 4)
         ci = CompressionIsometry(mm, 2, 2)
         dop_ab, dop_a = weighted_modular_pair(mm, mm, partial_trace_channel(2, 2), 0.3)
-        out = resolvent_defect(ci, dop_ab, dop_a, 1.0, canonical_purification(ci.rho_a))
+        out = resolvent_defect(ci, dop_ab, dop_a, 1.0)
         assert out.defect <= 1e-10
 
     def test_guards_small_t(self):
@@ -289,7 +286,7 @@ class TestResolventDefect:
         dop_ab, dop_a = weighted_modular_pair(rho_ab, random_density(4, 64),
                                               partial_trace_channel(2, 2), 0.5)
         with pytest.raises(SingularResolvent):
-            resolvent_defect(ci, dop_ab, dop_a, 1e-9, canonical_purification(ci.rho_a))
+            resolvent_defect(ci, dop_ab, dop_a, 1e-9)
 
     def test_weighted_pair_satisfies_compression_identity(self):
         # U* Delta_AB U = Delta_A holds exactly for the optimizer weights.

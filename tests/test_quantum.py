@@ -7,7 +7,6 @@ from renyidpi import (
     KrausChannel,
     NonSquare,
     NotPositiveDefinite,
-    canonical_purification,
     dagger,
     frobenius,
     herm_part,
@@ -19,6 +18,7 @@ from renyidpi import (
     random_density,
     stinespring_dilate,
     stream,
+    vectorize,
 )
 from renyidpi.linalg import lift_b
 
@@ -242,25 +242,27 @@ class TestRandomSampling:
 
 
 class TestPurification:
+    # The canonical purification |rho^(1/2)> = vectorize(rho.sqrt()).
+
     def test_maximally_mixed_qubit(self):
         # vec((I/2)^(1/2)) = (1,0,0,1)/sqrt(2), the Bell state.
         rho = DensityMatrix(np.eye(2) / 2)
-        psi = canonical_purification(rho)
+        psi = vectorize(rho.sqrt())
         np.testing.assert_allclose(
-            psi.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-14
+            psi, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-14
         )
 
     def test_near_pure_state(self):
         eps = 1e-6
         rho = DensityMatrix(np.diag([1.0 - eps, eps]))
-        psi = canonical_purification(rho)
+        psi = vectorize(rho.sqrt())
         expect = np.zeros(4)
         expect[0] = 1.0
-        assert np.linalg.norm(psi.amplitudes - expect) <= 2e-3
+        assert np.linalg.norm(psi - expect) <= 2e-3
 
     def test_reduces_to_rho(self):
         rho = random_density(3, 77)
-        psi = canonical_purification(rho)
-        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        psi = vectorize(rho.sqrt())
+        proj = np.outer(psi, psi.conj())
         np.testing.assert_allclose(partial_trace(proj, (3, 3), "B"), rho.matrix, atol=1e-10)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
