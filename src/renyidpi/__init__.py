@@ -49,7 +49,6 @@ from .quantum import (
     random_channel,
     random_density,
     random_isometry,
-    random_unitary,
     stinespring_dilate,
     stream,
 )

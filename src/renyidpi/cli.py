@@ -24,12 +24,12 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigInvalid, DimensionMismatch, InvalidAlpha, IoFailure,
-                     NonConvergence, NotPositiveDefinite, RenyiDpiError)
+                     NotPositiveDefinite, RenyiDpiError)
 from .linalg import matrix_from_json, order_array, trace_distance
 from .quantum import DensityMatrix, partial_trace_channel, random_channel, random_density, stream
 from .divergence import (
@@ -102,9 +102,6 @@ class ScanRow:
                 if not np.isfinite(value):
                     raise ValueError(f"row field {name} is not finite")
                 setattr(self, name, value)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
 @dataclass
@@ -256,22 +253,12 @@ def _variational_rows(cfg, trial, rng):
     tol_s = cfg.tolerances["variational_state"]
     opt_cfg = OptimizerConfig(restarts=cfg.restarts, seed=0)
     d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
-    try:
-        values, omegas = variational_value(rho, sigma, cfg.alpha_grid, opt_cfg)
-    except NonConvergence:
-        # The search fails at some order. Replay the trial order by order,
-        # so that it reports the error of the first alpha that raises, the
-        # closed form checked before the search.
-        for alpha in cfg.alpha_grid:
-            closed_form_optimizer(rho, sigma, alpha)
-            variational_value(rho, sigma, alpha, opt_cfg)
-        raise
+    values, omegas = variational_value(rho, sigma, cfg.alpha_grid, opt_cfg)
     rows = []
     for alpha, sand, value, omega in zip(cfg.alpha_grid, d_sand, values, omegas):
         closed = closed_form_optimizer(rho, sigma, alpha)
-        omega_hat = DensityMatrix(omega)
         gap = abs(value - closed.value)
-        dist = trace_distance(omega_hat.matrix, closed.omega_star.matrix)
+        dist = trace_distance(omega, closed.omega_star)
         rows.append(ScanRow(
             trial=trial, alpha=alpha,
             d_sand=sand, dpi_gap=gap, recovery_err=dist,
@@ -328,10 +315,12 @@ def run(config: ExperimentConfig) -> tuple[list[ScanRow], dict]:
         if error is not None:
             errors.append(error)
     max_violation = max(max((-r.dpi_gap for r in rows), default=0.0), 0.0)
-    saturating = [r for r in rows if r.saturated]
+    # Over every row whose gap closes, whether or not its residuals pass:
+    # the saturation-equivalent families, without the stronger commutator.
+    tol_dpi = config.tolerances["dpi"]
     max_sat_residual = max(
-        (max(r.t1, r.t1_geo, r.t3, r.petz_beta, r.necessary2, r.commutator)
-         for r in saturating),
+        (max(r.t1, r.t1_geo, r.t3, r.petz_beta, r.necessary2)
+         for r in rows if r.dpi_gap <= tol_dpi),
         default=0.0,
     )
     if config.scenario == "recovery-test":
@@ -355,14 +344,6 @@ def run(config: ExperimentConfig) -> tuple[list[ScanRow], dict]:
     return rows, summary
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit(rows: list[ScanRow], fmt: str, path: str) -> None:
     """Write rows as CSV (fixed header) or JSON (array of row objects)."""
     if fmt not in ("csv", "json"):
@@ -373,9 +354,9 @@ def emit(rows: list[ScanRow], fmt: str, path: str) -> None:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS)
                 for row in rows:
-                    writer.writerow([_format_cell(getattr(row, c)) for c in CSV_COLUMNS])
+                    writer.writerow([getattr(row, c) for c in CSV_COLUMNS])
             else:
-                json.dump([row.to_dict() for row in rows], handle, indent=2)
+                json.dump([asdict(row) for row in rows], handle, indent=2)
                 handle.write("\n")
     except OSError as exc:
         raise IoFailure(f"could not write {path}: {exc}") from exc

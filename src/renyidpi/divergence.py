@@ -125,28 +125,29 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 class OptimizerResult:
     """Closed-form optimizer of the modular quadratic form.
 
-    omega_star maximizes (alpha > 0) or minimizes (alpha < 0) the form;
-    value is the attained optimum exp(alpha * divergence); normalizer is
-    Tr Y^n, n = 1/(1-alpha).
+    omega_star maximizes (alpha > 0) or minimizes (alpha < 0) the form: a
+    Hermitian unit-trace positive semidefinite matrix, a computed state
+    that no positivity floor applies to; value is the attained optimum
+    exp(alpha * divergence).
     """
 
-    omega_star: DensityMatrix
-    y: np.ndarray
+    omega_star: np.ndarray
     value: float
-    normalizer: float
 
 
 def closed_form_optimizer(rho: DensityMatrix, sigma: DensityMatrix, order) -> OptimizerResult:
     """Unique optimizer omega_* = Y^n / Tr Y^n with n = 1/(1-alpha) and
-    Y = rho^(1/2) sigma^-alpha rho^(1/2)."""
+    Y = rho^(1/2) sigma^-alpha rho^(1/2).
+
+    omega_* is a genuine state whose smallest eigenvalue may lie far below
+    the 1e-10 input floor (y_i^n shrinks fast at alpha = 0.9, n = 10), so
+    it is returned as a plain matrix, not as a DensityMatrix.
+    """
     a = float(order_array(order))
     _check_pair(rho, sigma)
-    y = _middle_factor(rho, sigma, a)
-    y_pow = herm_part(matrix_power_psd(y, 1.0 / (1.0 - a)))
-    normalizer = float(np.trace(y_pow).real)
-    omega_star = DensityMatrix(y_pow / normalizer)
-    value = quadratic_form(rho, sigma, omega_star, a)
-    return OptimizerResult(omega_star=omega_star, y=y, value=value, normalizer=normalizer)
+    y_pow = herm_part(matrix_power_psd(_middle_factor(rho, sigma, a), 1.0 / (1.0 - a)))
+    omega_star = y_pow / np.trace(y_pow).real
+    return OptimizerResult(omega_star=omega_star, value=quadratic_form(rho, sigma, omega_star, a))
 
 
 @dataclass(frozen=True)
@@ -254,15 +255,16 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
                       cfg: OptimizerConfig | None = None):
     """Optimize the modular quadratic form over omega numerically.
 
-    Returns (attained value, optimizing state). The form is strictly
-    concave (alpha > 0) or convex (alpha < 0) in omega, so the multi-
-    restart search converges to the unique optimizer; a NonConvergence
-    carrying the best value is raised if no restart settles.
+    Returns (attained value, optimizing state). The state is G G^dagger
+    / Tr of the best restart, a unit-trace positive semidefinite matrix
+    with no positivity floor. The form is strictly concave (alpha > 0) or
+    convex (alpha < 0) in omega, so the multi-restart search converges to
+    the unique optimizer; a NonConvergence carrying the best value is
+    raised if no restart settles.
 
     A 1-D array of n orders runs the restarts of every order in one
-    lockstep search and returns (values (n,), omegas (n, d, d)), each
-    omega G G^dagger / Tr of its order's best restart; values and the
-    DensityMatrix of each omega equal the scalar call. InvalidAlpha and
+    lockstep search and returns (values (n,), omegas (n, d, d)); each
+    value and omega equals the scalar call bit for bit. InvalidAlpha and
     NonConvergence name the first order that raises them.
     """
     a = order_array(order)
@@ -293,7 +295,7 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
         w = x @ dagger(x)
         omegas[j] = w / np.trace(w).real
     if not a.ndim:
-        return float(signs[0] * best[0]), DensityMatrix(omegas[0])
+        return float(signs[0] * best[0]), omegas[0]
     return signs * best, omegas
 
 

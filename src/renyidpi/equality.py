@@ -72,7 +72,7 @@ from .quantum import (
     StinespringIsometry,
     ginibre,
     partial_trace_channel,
-    random_unitary,
+    random_isometry,
     stream,
 )
 from .divergence import closed_form_optimizer, dpi_gap
@@ -286,7 +286,8 @@ def weighted_modular_pair(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel,
     order = float(order_array(order))
     rho_out = ch.apply_density(rho)
     sigma_out = ch.apply_density(sigma)
-    omega_out = closed_form_optimizer(rho_out, sigma_out, order).omega_star
+    # The modular operator needs omega_out^-1: the floor checks it here.
+    omega_out = DensityMatrix(closed_form_optimizer(rho_out, sigma_out, order).omega_star)
     r_mhalf = rho_out.power(-0.5)
     a_star_sq = herm_part(r_mhalf @ omega_out.matrix @ r_mhalf)
     lifted = herm_part(rho.sqrt() @ ch.adjoint_apply(a_star_sq) @ rho.sqrt())
@@ -332,7 +333,7 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
         rho_ab = np.kron(_tempered_density(d_a, rng), tau)
         sigma_ab = np.kron(_tempered_density(d_a, rng), tau)
         if kind == "conjugated-product":
-            u = lift_b(random_unitary(d_a, rng), d_b)
+            u = lift_b(random_isometry(d_a, d_a, rng), d_b)
             rho_ab, sigma_ab = u @ rho_ab @ dagger(u), u @ sigma_ab @ dagger(u)
     elif kind == "blocked":
         sizes = (d_a - d_a // 2, d_a // 2)

@@ -13,8 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeight, DimensionMismatch, SingularResolvent
-from .linalg import dagger, frobenius, herm_part, hermitian_eig, lift_b, order_array, vectorize
+from .errors import DegenerateWeight, DimensionMismatch, NotPositiveDefinite, SingularResolvent
+from .linalg import (EPS_POS, SpectralDecomposition, dagger, frobenius, herm_part,
+                     hermitian_eig, lift_b, order_array, positive_eig, vectorize)
 from .quantum import DensityMatrix
 
 # Eigenvalues of a compressed operator below this cutoff are treated as
@@ -76,26 +77,43 @@ class RelativeModularOperator:
         return self.function_matrix(lambda x: 1.0 / (x + t))
 
 
-def quadratic_form(rho: DensityMatrix, sigma: DensityMatrix, omega: DensityMatrix,
+def _state_power(omega: np.ndarray, alpha: float) -> np.ndarray:
+    # omega^alpha for a positive semidefinite omega. For alpha > 0 the
+    # power is continuous there, so eigenvalues within -EPS_POS of 0 are
+    # roundoff and clamp to 0; for alpha < 0 omega must pass the floor.
+    if alpha < 0.0:
+        return positive_eig(omega).power(alpha)
+    sd = hermitian_eig(omega)
+    low = float(sd.eigenvalues[0])
+    if low < -EPS_POS:
+        raise NotPositiveDefinite(f"omega has eigenvalue {low:.3e} below -{EPS_POS:.0e}")
+    return SpectralDecomposition(np.maximum(sd.eigenvalues, 0.0), sd.eigenvectors).power(alpha)
+
+
+def quadratic_form(rho: DensityMatrix, sigma: DensityMatrix, omega: np.ndarray,
                    alpha: float) -> float:
-    """<rho^(1/2)| Delta_{sigma,omega}^-alpha |rho^(1/2)>.
+    """<rho^(1/2)| Delta_{sigma,omega}^-alpha |rho^(1/2)> for a Hermitian
+    positive semidefinite matrix omega.
 
     Evaluates to Tr[rho^(1/2) sigma^-alpha rho^(1/2) omega^alpha], a
-    positive real.
+    positive real. For alpha > 0 omega may be singular; for alpha < 0 it
+    must lie above the positivity floor, and NotPositiveDefinite is raised
+    otherwise, as it is for an eigenvalue below -EPS_POS at any alpha.
     """
     alpha = float(order_array(alpha))
-    if not (rho.dim == sigma.dim == omega.dim):
+    if sigma.dim != rho.dim or np.shape(omega) != (rho.dim, rho.dim):
         raise DimensionMismatch("states live on different spaces")
-    val = np.trace(rho.sqrt() @ sigma.power(-alpha) @ rho.sqrt() @ omega.power(alpha))
+    val = np.trace(rho.sqrt() @ sigma.power(-alpha) @ rho.sqrt() @ _state_power(omega, alpha))
     return float(val.real)
 
 
 def quadratic_form_superop(rho: DensityMatrix, sigma: DensityMatrix,
-                           omega: DensityMatrix, alpha: float) -> float:
+                           omega: np.ndarray, alpha: float) -> float:
     """Same quadratic form through a brute-force eigendecomposition of the
-    materialized super-operator matrix; cross-check route for tests."""
+    materialized super-operator matrix; cross-check route for tests. Delta
+    needs omega^-1, so omega must pass DensityMatrix's floor."""
     alpha = float(order_array(alpha))
-    dop = RelativeModularOperator(sigma, omega)
+    dop = RelativeModularOperator(sigma, DensityMatrix(omega))
     big = herm_part(dop.matrix_power(1.0))
     w, v = np.linalg.eigh(big)
     vec = vectorize(rho.sqrt())

@@ -252,15 +252,10 @@ def _fix_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_unitary(dim: int, rng_seed) -> np.ndarray:
-    """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = stream(rng_seed)
-    q, r = np.linalg.qr(ginibre(rng, dim, dim))
-    return _fix_phases(q, r)
-
-
 def random_isometry(rows: int, cols: int, rng_seed) -> np.ndarray:
-    """Haar-random isometry (orthonormal columns), rows >= cols."""
+    """Haar-random isometry (orthonormal columns), rows >= cols, via
+    phase-fixed QR of a Ginibre matrix; a Haar-random unitary at rows ==
+    cols."""
     if rows < cols:
         raise DimensionMismatch(f"no isometry from dim {cols} into dim {rows}")
     rng = stream(rng_seed)

@@ -105,10 +105,10 @@ def test_criterion_03_optimizer_correctness():
             closed = closed_form_optimizer(rho, sigma, alpha)
             worst_value = max(worst_value, abs(value - closed.value))
             worst_dist = max(
-                worst_dist, trace_distance(DensityMatrix(omega).matrix, closed.omega_star.matrix)
+                worst_dist, trace_distance(omega, closed.omega_star)
             )
             for probe in probes:
-                excess = quadratic_form(rho, sigma, probe, alpha) - closed.value
+                excess = quadratic_form(rho, sigma, probe.matrix, alpha) - closed.value
                 worst_beat = max(worst_beat, excess if alpha > 0 else -excess)
     ok = worst_value <= 1e-6 and worst_dist <= 1e-4 and worst_beat <= 1e-9
     _criterion(3, ok, "variational optimizer matches the closed form",

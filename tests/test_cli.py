@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from renyidpi import (ConfigInvalid, RenyiDpiError, closed_form_optimizer, equality,
-                      matrix_to_json, random_density, stream)
+from renyidpi import ConfigInvalid, equality, matrix_to_json
 from renyidpi.cli import (
     CSV_COLUMNS,
     DEFAULT_ALPHA_GRID,
@@ -121,32 +120,36 @@ class TestScenarios:
         assert all(not r.dpi_ok for r in rows)
 
 
-def _closed_form_error(seed: int, trial: int, alpha: float) -> str:
-    # The error record of the closed form at alpha on the pair that
-    # variational-check draws for (seed, trial).
-    rng = stream(seed, trial)
-    rho, sigma = random_density(2, rng), random_density(2, rng)
-    with pytest.raises(RenyiDpiError) as info:
-        closed_form_optimizer(rho, sigma, alpha)
-    return f"{type(info.value).__name__}: {info.value}"
+class TestVariationalCheck:
+    # The optimizers are computed states: no positivity floor applies to
+    # them, so a trial whose omega_* lies below it is a real row.
+
+    def test_seed_1_trial_0_passes(self):
+        # omega_* has a smallest eigenvalue below 1e-10 at alpha = 0.9.
+        rows, summary = run(ExperimentConfig(scenario="variational-check", seed=1, trials=1))
+        assert summary["errors"] == [] and summary["pass"]
+        assert len(rows) == len(DEFAULT_ALPHA_GRID) and all(r.dpi_ok for r in rows)
+
+    def test_a_3x2_trial_passes(self):
+        rows, summary = run(ExperimentConfig(
+            scenario="variational-check", seed=1, trials=1, dims=(3, 2)))
+        assert summary["errors"] == [] and summary["pass"]
+        assert all(r.dpi_ok for r in rows)
 
 
-class TestVariationalErrorOrder:
-    # variational-check searches the whole grid before its alpha loop; a
-    # failing trial still reports the error of the first alpha that
-    # raises, with the closed form checked before the search.
-
-    def test_failing_trial_reports_the_closed_form_error(self):
-        # Trial 0 of seed 1 fails at alpha = 0.9 alone.
-        _, summary = run(ExperimentConfig(scenario="variational-check", seed=1, trials=1))
-        rng = stream(1, 0)
-        rho, sigma = random_density(2, rng), random_density(2, rng)
-        for alpha in DEFAULT_ALPHA_GRID[:-1]:
-            closed_form_optimizer(rho, sigma, alpha)
-        assert DEFAULT_ALPHA_GRID[-1] == 0.9
-        want = _closed_form_error(1, 0, 0.9)
-        assert want.startswith("NotPositiveDefinite: ")
-        assert summary["errors"] == [{"trial": 0, "error": want}]
+class TestSummary:
+    def test_max_saturating_residual_covers_every_closed_gap(self):
+        # Trial 1 of recovery-test at 4x4, seed 122, closes its gap but has
+        # t3 = 2.23e-8 at alpha = 0.9: that row is not saturated, and the
+        # summary still reports its residual next to the failed verdict.
+        rows, summary = run(ExperimentConfig(
+            scenario="recovery-test", seed=122, trials=2, dims=(4, 4)))
+        closed = [r for r in rows if r.dpi_gap <= summary["tolerances"]["dpi"]]
+        worst = max(max(r.t1, r.t1_geo, r.t3, r.petz_beta, r.necessary2) for r in closed)
+        assert not summary["pass"]
+        assert summary["max_saturating_residual"] == worst > 1e-8
+        assert worst > max(max(r.t1, r.t1_geo, r.t3, r.petz_beta, r.necessary2)
+                           for r in rows if r.saturated)
 
 
 class TestAlphaIndependentWork:

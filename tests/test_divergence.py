@@ -7,7 +7,6 @@ from renyidpi import (
     DensityMatrix,
     InvalidAlpha,
     NonConvergence,
-    NotPositiveDefinite,
     OptimizerConfig,
     QuadratureFailure,
     closed_form_optimizer,
@@ -23,7 +22,7 @@ from renyidpi import (
     quadratic_form,
     random_channel,
     random_density,
-    random_unitary,
+    random_isometry,
     relative_entropy,
     sandwiched_renyi,
     schatten_norm,
@@ -253,7 +252,7 @@ class TestClosedFormOptimizer:
     def test_equal_states_fixed_point(self):
         rho = random_density(3, 19)
         res = closed_form_optimizer(rho, rho, 0.4)
-        assert frobenius(res.omega_star.matrix - rho.matrix) <= 1e-10
+        assert frobenius(res.omega_star - rho.matrix) <= 1e-10
 
     def test_diagonal_formula(self):
         rng = np.random.default_rng(20)
@@ -262,7 +261,7 @@ class TestClosedFormOptimizer:
         raw = (p * q**-alpha) ** (1.0 / (1.0 - alpha))
         expect = raw / raw.sum()
         res = closed_form_optimizer(diag_density(p), diag_density(q), alpha)
-        np.testing.assert_allclose(np.diag(res.omega_star.matrix).real, expect, atol=1e-12)
+        np.testing.assert_allclose(np.diag(res.omega_star).real, expect, atol=1e-12)
 
     def test_attained_value_matches_divergence(self):
         for seed in range(10):
@@ -277,8 +276,23 @@ class TestClosedFormOptimizer:
         rho = random_density(2, 23)
         sigma = random_density(2, 24)
         res = closed_form_optimizer(rho, sigma, 0.5)
-        rebuilt = matrix_power_psd(res.y, 2.0) / res.normalizer
-        assert frobenius(res.omega_star.matrix - rebuilt) <= 1e-10
+        y_pow = matrix_power_psd(herm_part(rho.sqrt() @ sigma.power(-0.5) @ rho.sqrt()), 2.0)
+        rebuilt = y_pow / np.trace(y_pow).real
+        assert frobenius(res.omega_star - rebuilt) <= 1e-10
+
+    def test_optimizer_below_the_input_floor(self):
+        # The pair of variational-check's trial 0 at seed 1: at alpha =
+        # 0.9, n = 10, omega_* is a genuine state below the 1e-10 floor.
+        rng = stream(1, 0)
+        rho, sigma = random_density(2, rng), random_density(2, rng)
+        res = closed_form_optimizer(rho, sigma, 0.9)
+        evals = np.linalg.eigvalsh(res.omega_star)
+        assert frobenius(res.omega_star - herm_part(res.omega_star)) == 0.0
+        assert abs(np.trace(res.omega_star).real - 1.0) <= 1e-12
+        assert -1e-15 <= evals[0] < 1e-10
+        assert np.isfinite(res.value)
+        expect = np.exp(0.9 * sandwiched_renyi(rho, sigma, 0.9))
+        assert abs(res.value - expect) <= 1e-9 * expect
 
 
 def golden_section(fn, lo, hi, iters=200):
@@ -303,7 +317,7 @@ class TestVariational:
         rho = random_density(2, 25)
         value, omega = variational_value(rho, rho, 0.4, OptimizerConfig(restarts=2, seed=0))
         assert value == pytest.approx(1.0, abs=1e-8)
-        assert trace_distance(omega.matrix, rho.matrix) <= 1e-4
+        assert trace_distance(omega, rho.matrix) <= 1e-4
 
     def test_diagonal_against_scalar_oracle(self):
         # Independent route: golden-section search over the 2-simplex.
@@ -333,7 +347,7 @@ class TestVariational:
                 closed = closed_form_optimizer(rho, sigma, alpha)
                 value, omega = variational_value(rho, sigma, alpha, cfg)
                 assert abs(value - closed.value) <= 1e-6
-                assert trace_distance(omega.matrix, closed.omega_star.matrix) <= 1e-4
+                assert trace_distance(omega, closed.omega_star) <= 1e-4
 
     def test_random_probes_never_beat_optimum(self):
         rho = random_density(3, 29)
@@ -342,7 +356,7 @@ class TestVariational:
         for alpha in (0.5, -0.5):
             best = closed_form_optimizer(rho, sigma, alpha).value
             for _ in range(100):
-                omega = random_density(3, rng)
+                omega = random_density(3, rng).matrix
                 probe = quadratic_form(rho, sigma, omega, alpha)
                 if alpha > 0:
                     assert probe <= best + 1e-9
@@ -466,22 +480,16 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("d, restarts", [(2, 3), (3, 1)])
     def test_array_equals_scalar_calls_bit_for_bit(self, d, restarts):
         # The default grid holds alpha = +-0.5, where a scalar exponent is
-        # evaluated as a square root. An omega below the positivity floor
-        # fails its DensityMatrix in both routes, with the same message.
+        # evaluated as a square root.
         grid = np.array(DEFAULT_ALPHA_GRID)
         cfg = OptimizerConfig(restarts=restarts, seed=5)
         rho, sigma = random_density(d, stream(70, d)), random_density(d, stream(71, d))
         values, omegas = variational_value(rho, sigma, grid, cfg)
         assert values.shape == grid.shape and omegas.shape == grid.shape + (d, d)
         for alpha, value, omega in zip(grid.tolist(), values, omegas):
-            try:
-                want_value, want_omega = variational_value(rho, sigma, alpha, cfg)
-            except NotPositiveDefinite as exc:
-                with pytest.raises(NotPositiveDefinite, match=re.escape(str(exc))):
-                    DensityMatrix(omega)
-                continue
+            want_value, want_omega = variational_value(rho, sigma, alpha, cfg)
             assert value == want_value
-            np.testing.assert_array_equal(herm_part(omega), want_omega.matrix)
+            np.testing.assert_array_equal(omega, want_omega)
 
     def test_matches_closed_form_at_d3(self):
         cfg = OptimizerConfig(restarts=4, seed=3)
@@ -489,12 +497,10 @@ class TestBatchedSearch:
             rho = random_density(3, stream(68, seed))
             sigma = random_density(3, stream(69, seed))
             for alpha in (-0.8, -0.2, 0.4, 0.7):
-                # closed_form_optimizer raises unless omega_* is above the
-                # positivity floor at these alphas.
                 closed = closed_form_optimizer(rho, sigma, alpha)
                 value, omega = variational_value(rho, sigma, alpha, cfg)
                 assert abs(value - closed.value) <= 1e-6
-                assert trace_distance(omega.matrix, closed.omega_star.matrix) <= 1e-4
+                assert trace_distance(omega, closed.omega_star) <= 1e-4
 
 
 class TestDpiGap:
@@ -559,7 +565,7 @@ class TestIsometryInvariance:
     def test_unitary_conjugation(self):
         rho = random_density(3, 41)
         sigma = random_density(3, 42)
-        u = random_unitary(3, 43)
+        u = random_isometry(3, 3, 43)
         rho_u = DensityMatrix(u @ rho.matrix @ u.conj().T)
         sigma_u = DensityMatrix(u @ sigma.matrix @ u.conj().T)
         for alpha in (-0.8, -0.3, 0.3, 0.8):
@@ -646,7 +652,7 @@ class TestIntegralRepresentation:
     @pytest.mark.parametrize("cond", [1e2, 1e5, 1e9])
     def test_ill_conditioned_finite_or_typed(self, cond):
         for d in (2, 3, 4):
-            u = random_unitary(d, stream(48, d))
+            u = random_isometry(d, d, stream(48, d))
             m = (u * np.geomspace(1.0, 1.0 / cond, d)) @ u.conj().T
             for alpha in (-0.999, -0.5, -0.001, 0.001, 0.5, 0.999):
                 try:

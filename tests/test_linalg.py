@@ -319,10 +319,10 @@ class TestSchattenNorm:
 
     def test_unitary(self):
         # All singular values of a unitary are 1.
-        from renyidpi import random_unitary
+        from renyidpi import random_isometry
 
         for p in (1.0, 2.0, 3.5):
-            u = random_unitary(4, 12)
+            u = random_isometry(4, 4, 12)
             assert schatten_norm(u, p) == pytest.approx(4.0 ** (1.0 / p), abs=1e-12)
 
     def test_rejects_p_below_one(self):

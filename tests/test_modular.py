@@ -7,6 +7,7 @@ from renyidpi import (
     DegenerateWeight,
     DensityMatrix,
     InvalidAlpha,
+    NotPositiveDefinite,
     RelativeModularOperator,
     SingularResolvent,
     build_recoverable_triple,
@@ -75,13 +76,13 @@ class TestModularAction:
 class TestQuadraticForm:
     def test_all_equal_gives_one(self):
         rho = random_density(3, 11)
-        assert quadratic_form(rho, rho, rho, 0.4) == pytest.approx(1.0, abs=1e-12)
+        assert quadratic_form(rho, rho, rho.matrix, 0.4) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_petz_exponent(self):
         rho = random_density(3, 12)
         sigma = random_density(3, 13)
         for alpha in (0.3, -0.7):
-            val = quadratic_form(rho, sigma, rho, alpha)
+            val = quadratic_form(rho, sigma, rho.matrix, alpha)
             assert np.log(val) / alpha == pytest.approx(petz_renyi(rho, sigma, alpha), abs=1e-11)
 
     def test_diagonal_scalar_sum(self):
@@ -89,13 +90,13 @@ class TestQuadraticForm:
         p, q, w = (rand_probs(rng, 3) for _ in range(3))
         alpha = 0.45
         expect = float(np.sum(p * q**-alpha * w**alpha))
-        val = quadratic_form(diag_density(p), diag_density(q), diag_density(w), alpha)
+        val = quadratic_form(diag_density(p), diag_density(q), np.diag(w), alpha)
         assert val == pytest.approx(expect, abs=1e-12)
 
     def test_superop_route_agrees(self):
         rho = random_density(3, 15)
         sigma = random_density(3, 16)
-        omega = random_density(3, 17)
+        omega = random_density(3, 17).matrix
         for alpha in (0.5, -0.25):
             direct = quadratic_form(rho, sigma, omega, alpha)
             brute = quadratic_form_superop(rho, sigma, omega, alpha)
@@ -104,7 +105,32 @@ class TestQuadraticForm:
     def test_rejects_bad_alpha(self):
         rho = random_density(2, 18)
         with pytest.raises(InvalidAlpha):
-            quadratic_form(rho, rho, rho, 1.5)
+            quadratic_form(rho, rho, rho.matrix, 1.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_deficient_omega_at_positive_alpha(self):
+        # omega^alpha is continuous on positive semidefinite omega for
+        # alpha > 0: a zero eigenvalue contributes 0 to the sum.
+        rng = np.random.default_rng(19)
+        p, q = rand_probs(rng, 3), rand_probs(rng, 3)
+        w = np.array([0.7, 0.3, 0.0])
+        for alpha in (0.1, 0.45, 0.9):
+            expect = float(np.sum(p * q**-alpha * w**alpha))
+            val = quadratic_form(diag_density(p), diag_density(q), np.diag(w), alpha)
+            assert val == pytest.approx(expect, abs=1e-12)
+
+    def test_below_floor_omega_at_negative_alpha(self):
+        # omega^alpha needs omega^-1 for alpha < 0: the floor applies.
+        rho, sigma = random_density(2, 20), random_density(2, 21)
+        omega = np.diag([1.0 - 1e-12, 1e-12])
+        assert quadratic_form(rho, sigma, omega, 0.5) > 0.0
+        with pytest.raises(NotPositiveDefinite):
+            quadratic_form(rho, sigma, omega, -0.5)
+
+    def test_rejects_a_negative_eigenvalue_beyond_roundoff(self):
+        rho = random_density(2, 22)
+        with pytest.raises(NotPositiveDefinite):
+            quadratic_form(rho, rho, np.diag([1.0 + 1e-6, -1e-6]), 0.5)
 
 
 class TestCompression:
