@@ -78,6 +78,7 @@ from .divergence import (
 )
 from .equality import (
     RECOVERABLE_KINDS,
+    RecoverablePair,
     SATURATION_TOL,
     ResidualReport,
     SaturationContext,

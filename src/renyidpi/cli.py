@@ -15,6 +15,13 @@ scenarios reuse columns for their own figures of merit (documented in the
 README): variational-check stores the optimizer value mismatch in dpi_gap
 and the trace distance between the searched and closed-form optimizers in
 recovery_err; integral-check stores the quadrature residual in dpi_gap.
+
+Trials run in blocks of at most TRIAL_BLOCK. divergence and dpi-scan
+evaluate a block in one stacked pass: each trial draws from its own
+stream(seed, trial), and each library call takes the block's stack of
+states, so the rows equal those of one-trial runs bit for bit. If the
+stacked pass raises, the block runs again trial by trial, so a failing
+trial is recorded alone and with the error of its own run.
 """
 
 from __future__ import annotations
@@ -22,9 +29,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,6 +68,11 @@ CSV_COLUMNS = ("trial", "alpha", "beta_re", "beta_im", "d_sand", "d_petz", "d_re
                "dpi_gap", "t1", "t1_geo", "t3", "petz_beta", "necessary2",
                "commutator", "recovery_err", "dpi_ok", "saturated")
 
+_FLOAT_COLUMNS = CSV_COLUMNS[1:-2]
+
+# Most trials evaluated in one stacked pass; bounds a block's memory.
+TRIAL_BLOCK = 64
+
 DEFAULT_ALPHA_GRID = (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 DEFAULT_TOLERANCES = {
@@ -91,17 +105,14 @@ class ScanRow:
     saturated: bool = False
 
     def __post_init__(self):
-        for name in CSV_COLUMNS:
-            value = getattr(self, name)
-            if name in ("dpi_ok", "saturated"):
-                setattr(self, name, bool(value))
-            elif name == "trial":
-                self.trial = int(value)
-            else:
-                value = float(value)
-                if not np.isfinite(value):
-                    raise ValueError(f"row field {name} is not finite")
-                setattr(self, name, value)
+        fields = self.__dict__
+        self.trial = int(self.trial)
+        for name in _FLOAT_COLUMNS:
+            value = fields[name] = float(fields[name])
+            if not math.isfinite(value):
+                raise ValueError(f"row field {name} is not finite")
+        self.dpi_ok = bool(self.dpi_ok)
+        self.saturated = bool(self.saturated)
 
 
 @dataclass
@@ -179,42 +190,57 @@ def _row_error(trial: int, alpha: float) -> ScanRow:
     return ScanRow(trial=trial, alpha=alpha, dpi_ok=False, saturated=False)
 
 
-def _divergence_rows(cfg, trial, rng):
+def _grid_rows(cfg, trials, **columns):
+    # One ScanRow per (trial, alpha), trial-major. Each column's last axis
+    # runs over the alpha grid (or has length 1); a stacked column leads
+    # with the trials, and an unstacked one holds for every trial.
+    shape = (len(trials), len(cfg.alpha_grid))
+    names = tuple(columns)
+    values = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in columns.values()))
+    keys = [(trial, alpha) for trial in trials for alpha in cfg.alpha_grid]
+    return [ScanRow(trial, alpha, **dict(zip(names, row))) for (trial, alpha), row in zip(keys, values)]
+
+
+# Stacked runners take (cfg, trials, rng): with one generator per trial,
+# every library call takes the stack of the trials' states; with a lone
+# generator, the one trial goes through the one-state calls.
+
+
+def _divergence_rows(cfg, trials, rng):
     if cfg.rho is not None:
+        # The user's pair is every trial's pair: evaluated once, its rows
+        # repeat for each trial.
         rho = DensityMatrix(cfg.rho)
         sigma = DensityMatrix(cfg.sigma)
     else:
         rho = random_density(cfg.dims[0], rng)
         sigma = random_density(cfg.dims[0], rng)
-    d_rel = relative_entropy(rho, sigma)
-    d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
-    d_petz = petz_renyi(rho, sigma, cfg.alpha_grid)
-    return [ScanRow(trial=trial, alpha=alpha, d_sand=s, d_petz=p, d_rel=d_rel)
-            for alpha, s, p in zip(cfg.alpha_grid, d_sand, d_petz)]
+    d_rel = np.expand_dims(relative_entropy(rho, sigma), -1)
+    return _grid_rows(cfg, trials, d_sand=sandwiched_renyi(rho, sigma, cfg.alpha_grid),
+                      d_petz=petz_renyi(rho, sigma, cfg.alpha_grid), d_rel=d_rel)
 
 
-def _dpi_rows(cfg, trial, rng):
+def _dpi_rows(cfg, trials, rng):
+    # The trials share a parity (see _STACKED_RUNNERS).
     d_a, d_b = cfg.dims
     dim = d_a * d_b
     rho = random_density(dim, rng)
     sigma = random_density(dim, rng)
     # Alternate between the partial trace and a generic Kraus channel.
-    if trial % 2 == 0:
+    if trials[0] % 2 == 0:
         ch = partial_trace_channel(d_a, d_b)
     else:
         ch = random_channel(dim, d_a, rng_seed=rng)
-    tol = cfg.tolerances["dpi"]
     gaps = dpi_gap(rho, sigma, ch, cfg.alpha_grid)
-    return [ScanRow(trial=trial, alpha=alpha, dpi_gap=gap, dpi_ok=gap >= -tol)
-            for alpha, gap in zip(cfg.alpha_grid, gaps)]
+    return _grid_rows(cfg, trials, dpi_gap=gaps, dpi_ok=gaps >= -cfg.tolerances["dpi"])
 
 
-def _report_rows(cfg, trial, rho_ab, sigma_ab):
+def _report_rows(cfg, trial, rho_ab, sigma_ab, recovery=None):
     tol_sat = cfg.tolerances["saturation"]
     tol_dpi = cfg.tolerances["dpi"]
     # An empty beta_grid, like None, means each order's default grid.
     ctx = SaturationContext.build(rho_ab, sigma_ab, cfg.dims, cfg.alpha_grid,
-                                  cfg.beta_grid or None)
+                                  cfg.beta_grid or None, recovery)
     rows = []
     for alpha in cfg.alpha_grid:
         report = full_report(ctx, alpha)
@@ -242,8 +268,8 @@ def _equality_rows(cfg, trial, rng):
 
 def _recovery_rows(cfg, trial, rng):
     kind = RECOVERABLE_KINDS[trial % len(RECOVERABLE_KINDS)]
-    rho_ab, sigma_ab = build_recoverable_triple(kind, cfg.dims, rng)
-    return _report_rows(cfg, trial, rho_ab, sigma_ab)
+    pair = build_recoverable_triple(kind, cfg.dims, rng)
+    return _report_rows(cfg, trial, pair.rho_ab, pair.sigma_ab, pair.recovery_error)
 
 
 def _variational_rows(cfg, trial, rng):
@@ -276,44 +302,77 @@ def _integral_rows(cfg, trial, rng):
             for alpha, resid in zip(cfg.alpha_grid, resids)]
 
 
-_SCENARIO_RUNNERS = {
-    "divergence": _divergence_rows,
-    "dpi-scan": _dpi_rows,
+# Runners of one trial, (cfg, trial, rng).
+_TRIAL_RUNNERS = {
     "equality-scan": _equality_rows,
     "recovery-test": _recovery_rows,
     "variational-check": _variational_rows,
     "integral-check": _integral_rows,
 }
 
+# Stacked runners, each with the key of a trial's group: the trials of one
+# group share each stacked call. dpi-scan's even trials go through Tr_B,
+# its odd ones through random Kraus channels.
+_STACKED_RUNNERS = {
+    "divergence": (_divergence_rows, lambda trial: 0),
+    "dpi-scan": (_dpi_rows, lambda trial: trial % 2),
+}
+
+_TRIAL_ERRORS = (RenyiDpiError, ValueError, np.linalg.LinAlgError)
+
 
 def _run_trial(config: ExperimentConfig, trial: int):
     # Each trial derives its own stream from (seed, trial), so its rows do
     # not depend on which trials ran before it.
     rng = stream(config.seed, trial)
-    runner = _SCENARIO_RUNNERS[config.scenario]
     try:
-        return runner(config, trial, rng), None
-    except (RenyiDpiError, ValueError, np.linalg.LinAlgError) as exc:
+        if config.scenario in _STACKED_RUNNERS:
+            return _STACKED_RUNNERS[config.scenario][0](config, [trial], rng), None
+        return _TRIAL_RUNNERS[config.scenario](config, trial, rng), None
+    except _TRIAL_ERRORS as exc:
         rows = [_row_error(trial, alpha) for alpha in config.alpha_grid]
         return rows, {"trial": trial, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_block(config: ExperimentConfig, trials: list[int]):
+    # Rows of the trials, in trial order, and their error records.
+    if config.scenario in _STACKED_RUNNERS:
+        runner, group_of = _STACKED_RUNNERS[config.scenario]
+        try:
+            rows = []
+            for key in dict.fromkeys(map(group_of, trials)):
+                group = [t for t in trials if group_of(t) == key]
+                rows += runner(config, group, [stream(config.seed, t) for t in group])
+            return sorted(rows, key=attrgetter("trial")), []
+        except _TRIAL_ERRORS:
+            pass  # run trial by trial: a failure is then its own trial's record
+    rows, errors = [], []
+    for trial in trials:
+        trial_rows, error = _run_trial(config, trial)
+        rows.extend(trial_rows)
+        if error is not None:
+            errors.append(error)
+    return rows, errors
 
 
 def run(config: ExperimentConfig) -> tuple[list[ScanRow], dict]:
     """Execute a scan; deterministic for a fixed seed.
 
-    Trials run serially in trial order. A failing trial produces flagged
-    rows (dpi_ok False) and an entry in the summary's error list instead
-    of aborting the scan.
+    Trials run serially in trial order, in blocks of at most TRIAL_BLOCK
+    (all of them for divergence on a user pair, which is evaluated once).
+    A failing trial produces flagged rows (dpi_ok False) and an entry in
+    the summary's error list instead of aborting the scan.
     """
     config.validate()
     started = time.perf_counter()
     rows: list[ScanRow] = []
     errors: list[dict] = []
-    for trial in range(config.trials):
-        trial_rows, error = _run_trial(config, trial)
-        rows.extend(trial_rows)
-        if error is not None:
-            errors.append(error)
+    block = config.trials if config.rho is not None else TRIAL_BLOCK
+    for start in range(0, config.trials, block):
+        block_rows, block_errors = _run_block(
+            config, list(range(start, min(start + block, config.trials))))
+        rows.extend(block_rows)
+        errors.extend(block_errors)
     max_violation = max(max((-r.dpi_gap for r in rows), default=0.0), 0.0)
     # Over every row whose gap closes, whether or not its residuals pass:
     # the saturation-equivalent families, without the stronger commutator.
@@ -353,8 +412,7 @@ def emit(rows: list[ScanRow], fmt: str, path: str) -> None:
             if fmt == "csv":
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS)
-                for row in rows:
-                    writer.writerow([getattr(row, c) for c in CSV_COLUMNS])
+                writer.writerows(map(attrgetter(*CSV_COLUMNS), rows))
             else:
                 json.dump([asdict(row) for row in rows], handle, indent=2)
                 handle.write("\n")

@@ -1,6 +1,9 @@
 """Sandwiched and Petz Renyi divergences with their variational structure.
 
-Closed forms run through Hermitian spectral calculus. The variational
+Closed forms run through Hermitian spectral calculus. They take a pair of
+states or a pair of stacks of T states (DensityMatrix.stack), and one
+order or a 1-D array of n orders: a stack gives values of shape (T,) or
+(T, n), each equal to the one-state call bit for bit. The variational
 route optimizes the modular quadratic form over states parameterized as
 G G^dagger / Tr[G G^dagger] with a complete-poll compass search whose
 restarts run in lockstep, every poll of every restart scored by one
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidAlpha, NonConvergence, QuadratureFailure
-from .linalg import dagger, frobenius, herm_part, matrix_power_psd, order_array
+from .linalg import dagger, frobenius, herm_part, matrix_power_psd, order_array, unit_axes
 from .modular import quadratic_form
 from .quantum import DensityMatrix, KrausChannel, ginibre, stream
 
@@ -51,16 +54,30 @@ QUAD_TAIL = 45.0
 def _check_pair(rho: DensityMatrix, sigma: DensityMatrix):
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"state dims {rho.dim} and {sigma.dim} differ")
+    if rho.batch != sigma.batch:
+        raise DimensionMismatch(f"state stacks of shapes {rho.batch} and {sigma.batch} differ")
 
 
-def _states_equal(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
-    return frobenius(rho.matrix - sigma.matrix) < NEAR_EQUAL_TOL
+def _unless_equal(rho: DensityMatrix, sigma: DensityMatrix, shape, evaluate):
+    # evaluate(), with exact zeros for numerically identical states, which
+    # avoids log-of-(1 +- ulp) noise; shape is that of one pair's value.
+    # One pair skips evaluate for them, a stack zeroes their slices.
+    equal = frobenius(rho.matrix - sigma.matrix) < NEAR_EQUAL_TOL
+    if not rho.batch:
+        if equal:
+            return np.zeros(shape) if shape else 0.0
+        return evaluate()
+    value = evaluate()
+    if equal.any():
+        value = np.where(equal.reshape(equal.shape + (1,) * len(shape)), 0.0, value)
+    return value
 
 
 def _middle_factor(rho: DensityMatrix, sigma: DensityMatrix, a) -> np.ndarray:
-    # Y = rho^(1/2) sigma^-a rho^(1/2), hermitized; an (n, d, d) stack for
-    # an array of n orders.
-    return herm_part(rho.sqrt() @ sigma.power(-a) @ rho.sqrt())
+    # Y = rho^(1/2) sigma^-a rho^(1/2), hermitized; shape (*B, *A, d, d)
+    # for states of batch B and orders of shape A.
+    r = unit_axes(rho.sqrt(), np.ndim(a))
+    return herm_part(r @ sigma.power(-a) @ r)
 
 
 def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
@@ -73,29 +90,35 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
     """
     a = order_array(order)
     _check_pair(rho, sigma)
-    if _states_equal(rho, sigma):
-        return np.zeros(a.shape) if a.ndim else 0.0
-    y = _middle_factor(rho, sigma, a)
-    w = np.maximum(np.linalg.eigvalsh(y), 0.0)
-    return _per_order(_sandwiched_from_spectrum, w, a)
+
+    def evaluate():
+        w = np.maximum(np.linalg.eigvalsh(_middle_factor(rho, sigma, a)), 0.0)
+        return _per_order(_sandwiched_from_spectrum, w, a, core=1)
+
+    return _unless_equal(rho, sigma, a.shape, evaluate)
 
 
-def _per_order(close, values, a):
-    # Apply close(value, alpha) to each order's slice of values, one order
-    # at a time on Python floats: numpy evaluates a scalar exponent of 2
-    # or 1/2 as a square or a square root, which an array of exponents
-    # does not reproduce bit for bit.
+def _per_order(close, values, a, core=0):
+    # Apply close(values, alpha) to each order's part of values, of shape
+    # (*B, *A, *C) with len(C) = core, one order at a time with alpha a
+    # Python float: numpy evaluates a scalar exponent of 2 or 1/2 as a
+    # square or a square root, which an array of exponents does not
+    # reproduce bit for bit. close maps (*B, *C) to (*B,); the result has
+    # shape (*B, *A), a Python float for one state and one order.
     if not a.ndim:
-        return close(values, float(a))
-    return np.array([close(v, alpha) for v, alpha in zip(values, a.tolist())])
+        out = close(values, float(a))
+        return out if np.ndim(out) else float(out)
+    by_order = np.moveaxis(values, values.ndim - core - 1, 0)
+    return np.stack([close(v, alpha) for v, alpha in zip(by_order, a.tolist())], axis=-1)
 
 
-def _sandwiched_from_spectrum(w: np.ndarray, a: float) -> float:
+def _sandwiched_from_spectrum(w: np.ndarray, a: float):
     # ((1-a)/a) log sum w^n, n = 1/(1-a), over the clamped eigenvalues w of
-    # rho^(1/2) sigma^-a rho^(1/2); scaled by the top eigenvalue, since
-    # w ** n overflows as alpha -> 1.
+    # rho^(1/2) sigma^-a rho^(1/2), the last axis; scaled by the top
+    # eigenvalue, since w ** n overflows as alpha -> 1.
     n = 1.0 / (1.0 - a)
-    return float((1.0 - a) / a * (n * np.log(w[-1]) + np.log(np.sum((w / w[-1]) ** n))))
+    top = w[..., -1]
+    return (1.0 - a) / a * (n * np.log(top) + np.log(np.sum((w / top[..., None]) ** n, axis=-1)))
 
 
 def petz_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
@@ -107,18 +130,24 @@ def petz_renyi(rho: DensityMatrix, sigma: DensityMatrix, order):
     """
     a = order_array(order)
     _check_pair(rho, sigma)
-    if _states_equal(rho, sigma):
-        return np.zeros(a.shape) if a.ndim else 0.0
-    val = np.trace(rho.power(1.0 + a) @ sigma.power(-a), axis1=-2, axis2=-1).real
-    return _per_order(lambda v, alpha: float(np.log(v) / alpha), val, a)
+
+    def evaluate():
+        val = np.trace(rho.power(1.0 + a) @ sigma.power(-a), axis1=-2, axis2=-1).real
+        return _per_order(lambda v, alpha: np.log(v) / alpha, val, a)
+
+    return _unless_equal(rho, sigma, a.shape, evaluate)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Quantum relative entropy Tr[rho (log rho - log sigma)], in nats."""
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix):
+    """Quantum relative entropy Tr[rho (log rho - log sigma)], in nats; an
+    array over the slices for a stack."""
     _check_pair(rho, sigma)
-    if _states_equal(rho, sigma):
-        return 0.0
-    return float(np.trace(rho.matrix @ (rho.log() - sigma.log())).real)
+
+    def evaluate():
+        val = np.trace(rho.matrix @ (rho.log() - sigma.log()), axis1=-2, axis2=-1).real
+        return val if rho.batch else float(val)
+
+    return _unless_equal(rho, sigma, (), evaluate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +330,9 @@ def variational_value(rho: DensityMatrix, sigma: DensityMatrix, order,
 
 def dpi_gap(rho: DensityMatrix, sigma: DensityMatrix, ch: KrausChannel, order):
     """Data-processing gap D(rho||sigma) - D(ch rho||ch sigma), >= 0 up to
-    roundoff; an array of gaps for a 1-D array of orders."""
+    roundoff; an array of gaps for a 1-D array of orders. Stacks of T
+    states, under one channel or a KrausChannel.stack of T, give the gaps
+    of each slice, shape (T,) or (T, n)."""
     before = sandwiched_renyi(rho, sigma, order)
     after = sandwiched_renyi(ch.apply_density(rho), ch.apply_density(sigma), order)
     return before - after

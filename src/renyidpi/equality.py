@@ -304,8 +304,21 @@ def _tempered_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return herm_part((rho + TRIPLE_MIX * np.eye(dim) / dim) / (1.0 + TRIPLE_MIX))
 
 
-def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
-                             ) -> tuple[DensityMatrix, DensityMatrix]:
+@dataclass(frozen=True, eq=False)
+class RecoverablePair:
+    """A pair built to saturate data processing under Tr_B, with its
+    certificate: recovery_error is the Petz recovery error from the
+    reduced state. Unpacks as (rho_ab, sigma_ab)."""
+
+    rho_ab: DensityMatrix
+    sigma_ab: DensityMatrix
+    recovery_error: float
+
+    def __iter__(self):
+        return iter((self.rho_ab, self.sigma_ab))
+
+
+def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed) -> RecoverablePair:
     """Construct (rho_AB, sigma_AB) that saturate data processing under Tr_B.
 
     Kinds:
@@ -322,7 +335,8 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
                           a Haar-random unitary on A.
 
     Every output is certified at construction: the Petz map rebuilds
-    rho_AB from rho_A to within 1e-9.
+    rho_AB from rho_A to within 1e-9, and that recovery error is kept on
+    the returned pair for SaturationContext.build.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 2 or d_b < 2:
@@ -352,13 +366,13 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed
         sigma_ab = np.kron(sigma_a, tau)
     else:
         raise ValueError(f"kind must be one of {RECOVERABLE_KINDS}, got {kind!r}")
-    pair = DensityMatrix(rho_ab), DensityMatrix(sigma_ab)
-    cert = recovery_error(pair[0], pair[1], partial_trace_channel(d_a, d_b))
+    rho, sigma = DensityMatrix(rho_ab), DensityMatrix(sigma_ab)
+    cert = recovery_error(rho, sigma, partial_trace_channel(d_a, d_b))
     if cert > 1e-9:
         raise RenyiDpiError(
             f"recoverable-triple certificate failed: recovery error {cert:.3e}"
         )
-    return pair
+    return RecoverablePair(rho, sigma, cert)
 
 
 def _block_weights(rng: np.random.Generator) -> tuple[float, float]:
@@ -433,10 +447,13 @@ class SaturationContext:
 
     @classmethod
     def build(cls, rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
-              dims: tuple[int, int], orders, beta_grid=None) -> "SaturationContext":
+              dims: tuple[int, int], orders, beta_grid=None,
+              recovery: float | None = None) -> "SaturationContext":
         """Diagnostics of the triple at each of `orders` (one order or a
         1-D sequence). beta_grid is one grid for every order; None takes
-        default_beta_grid(alpha) for each order's row. Each family runs
+        default_beta_grid(alpha) for each order's row. recovery is the
+        triple's recovery_error when the caller already has it (a
+        RecoverablePair's certificate); None computes it. Each family runs
         once over the whole grid, so an error is that of the first family
         that fails at any order; a stacked family's error names the first
         failing slice, and slice i is the order alphas[i]."""
@@ -450,7 +467,8 @@ class SaturationContext:
         ch = partial_trace_channel(*dims)
         ci = CompressionIsometry(rho_ab, *dims)
         commutator = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
-        recovery = recovery_error(rho_ab, sigma_ab, ch)
+        if recovery is None:
+            recovery = recovery_error(rho_ab, sigma_ab, ch)
         return cls(commutator=commutator / (dims[0] * dims[1]), recovery_error=recovery,
                    alphas=tuple(alphas.tolist()), betas=betas,
                    t3=t3_residual(rho_ab, sigma_ab, ch, alphas, betas),

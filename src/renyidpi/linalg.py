@@ -85,11 +85,11 @@ def frobenius(a: np.ndarray):
     return np.sqrt(sq).reshape(a.shape[:-2])
 
 
-def _failing_slice(bad):
-    # For a check's outcome, a bool for one matrix or a bool array over a
-    # stack: None when nothing failed, else the message prefix naming the
-    # first failing slice (empty for one matrix, so its messages read as
-    # before) and that slice's index.
+def failing_slice(bad):
+    """For a check's outcome, a bool for one matrix or a bool array over a
+    stack: None when nothing failed, else the message prefix naming the
+    first failing slice (empty for one matrix, so its messages read as
+    before) and that slice's index."""
     if not isinstance(bad, np.ndarray):
         return ("", ()) if bad else None
     if not bad.any():
@@ -126,9 +126,9 @@ def lift_b(x: np.ndarray, d_b: int) -> np.ndarray:
     return out.reshape(x.shape[:-2] + (d_a * d_b, d_a * d_b))
 
 
-def _lift(x: np.ndarray, k: int) -> np.ndarray:
-    # Insert k unit axes before the matrix axes, so x broadcasts over a
-    # (*B, *K, d, d) stack with len(K) = k.
+def unit_axes(x: np.ndarray, k: int) -> np.ndarray:
+    """Insert k unit axes before the matrix axes, so x broadcasts over a
+    (*B, *K, d, d) stack with len(K) = k."""
     return x.reshape(x.shape[:-2] + (1,) * k + x.shape[-2:])
 
 
@@ -150,7 +150,7 @@ class SpectralDecomposition:
         f = fn(self.eigenvalues)
         v = self.eigenvectors
         if f.ndim > 1:
-            v = _lift(v, f.ndim - self.eigenvalues.ndim)
+            v = unit_axes(v, f.ndim - self.eigenvalues.ndim)
             f = f[..., None, :]
         return (v * f) @ dagger(v)
 
@@ -192,7 +192,7 @@ def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     the first failing slice.
     """
     m = _as_stack(m)
-    failed = _failing_slice(frobenius(m - dagger(m)) > HERM_RTOL * np.maximum(frobenius(m), 1.0))
+    failed = failing_slice(frobenius(m - dagger(m)) > HERM_RTOL * np.maximum(frobenius(m), 1.0))
     if failed:
         raise NonHermitian(f"{failed[0]}matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
@@ -211,7 +211,7 @@ def positive_eig(m: np.ndarray) -> SpectralDecomposition:
 
 def _above_floor(sd: SpectralDecomposition) -> SpectralDecomposition:
     low = sd.eigenvalues.min(axis=-1)
-    failed = _failing_slice(low < EPS_POS)
+    failed = failing_slice(low < EPS_POS)
     if failed:
         raise NotPositiveDefinite(
             f"{failed[0]}smallest eigenvalue {low[failed[1]]:.3e} below floor {EPS_POS:.0e}"
@@ -240,7 +240,7 @@ def congruence_power(x: np.ndarray, inner: np.ndarray, z, left: np.ndarray,
     """
     mid = herm_part(inner @ x @ inner)
     k = np.ndim(z) - (mid.ndim - 2)
-    return _lift(left, k) @ matrix_power_psd(mid, z) @ _lift(right, k)
+    return unit_axes(left, k) @ matrix_power_psd(mid, z) @ unit_axes(right, k)
 
 
 def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha,
@@ -272,22 +272,23 @@ def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha,
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], traced: str = "B") -> np.ndarray:
-    """Partial trace over one factor of a bipartite operator.
+    """Partial trace over one factor of a bipartite operator, or of each
+    slice of a (*B, d, d) stack.
 
     `dims` is (d_A, d_B) and `traced` names the subsystem that is traced
     out, "A" or "B".
     """
-    m = _as_square(m)
+    m = _as_stack(m)
     d_a, d_b = int(dims[0]), int(dims[1])
-    if m.shape[0] != d_a * d_b:
+    if m.shape[-1] != d_a * d_b:
         raise DimensionMismatch(
-            f"matrix side {m.shape[0]} does not factor as {d_a} x {d_b}"
+            f"matrix side {m.shape[-1]} does not factor as {d_a} x {d_b}"
         )
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    t = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
     if traced == "B":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if traced == "A":
-        return np.einsum("ijil->jl", t)
+        return np.einsum("...ijil->...jl", t)
     raise ValueError(f"traced must be 'A' or 'B', got {traced!r}")
 
 

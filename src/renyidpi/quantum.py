@@ -3,6 +3,13 @@
 States are strictly positive throughout; near-singular random samples are
 mixed toward the maximally mixed state. Channels are kept in Kraus
 form with Stinespring dilations derived on demand.
+
+A state or a Kraus channel can also be a stack of T of them, made only by
+DensityMatrix.stack, KrausChannel.stack, or random_density and
+random_channel given a sequence of T generators. Powers, logs, reduced
+states and channel outputs of a stack run once over it, and slice t
+equals the one-state call on state t bit for bit; the one-state call is
+the unstacked case of the same code.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .linalg import (
     EPS_POS,
     HERM_RTOL,
     dagger,
+    failing_slice,
     frobenius,
     herm_part,
     hermitian_eig,
@@ -39,31 +47,55 @@ class DensityMatrix:
     Immutable after construction. Powers and reduced states are cached per
     instance, so every spectral function of a state reuses its one
     eigendecomposition.
+
+    DensityMatrix(m) takes one matrix; DensityMatrix.stack takes T of
+    them. batch is () for one state and (T,) for a stack, whose matrix,
+    spectral data, powers and reduced states carry the leading axis T and
+    whose min_eig is an array over the slices.
     """
 
     def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-        if frobenius(m - dagger(m)) > HERM_RTOL * max(frobenius(m), 1.0):
+        self._check_and_store(m)
+
+    @classmethod
+    def stack(cls, matrices) -> "DensityMatrix":
+        """A stack of T states from a (T, d, d) array, checked slice by
+        slice; an error names the first failing slice."""
+        m = np.asarray(matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise NonSquare(f"expected a (T, d, d) stack, got shape {m.shape}")
+        state = cls.__new__(cls)
+        state._check_and_store(m)
+        return state
+
+    def _check_and_store(self, m: np.ndarray) -> None:
+        if failing_slice(frobenius(m - dagger(m)) > HERM_RTOL * np.maximum(frobenius(m), 1.0)):
             hermitian_eig(m)  # raises with the precise reason
         # Decompose the hermitized matrix so the cached spectral data is a
         # pure function of the stored value (byte-equal states share it).
         stored = herm_part(m)
         spectral = hermitian_eig(stored)
-        tr = float(np.sum(spectral.eigenvalues))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
-        min_eig = float(spectral.eigenvalues.min())
-        if min_eig < EPS_POS:
+        tr = np.sum(spectral.eigenvalues, axis=-1)
+        failed = failing_slice(abs(tr - 1.0) > TRACE_TOL)
+        if failed:
+            raise ValueError(f"{failed[0]}trace {float(tr[failed[1]])!r} is not 1 "
+                             f"within {TRACE_TOL:.0e}")
+        min_eig = spectral.eigenvalues.min(axis=-1)
+        failed = failing_slice(min_eig < EPS_POS)
+        if failed:
             raise NotPositiveDefinite(
-                f"density matrix has eigenvalue {min_eig:.3e} below floor {EPS_POS:.0e}"
+                f"{failed[0]}density matrix has eigenvalue {min_eig[failed[1]]:.3e} "
+                f"below floor {EPS_POS:.0e}"
             )
         self.matrix = stored
         self.matrix.setflags(write=False)
         self.spectral = spectral
-        self.dim = int(self.matrix.shape[0])
-        self.min_eig = min_eig
+        self.batch = stored.shape[:-2]
+        self.dim = int(stored.shape[-1])
+        self.min_eig = min_eig if self.batch else float(min_eig)
         self._pow_cache: dict[complex, np.ndarray] = {}
         self._reduced_cache: dict[tuple[int, int], DensityMatrix] = {}
 
@@ -71,22 +103,30 @@ class DensityMatrix:
         """Principal matrix power, cached per exponent.
 
         An array of exponents gives the stack of powers (see
-        SpectralDecomposition.power); stacks are not cached.
+        SpectralDecomposition.power); stacks are not cached. A stack of
+        states raises every slice to the same exponents: shape (T, *K, d, d)
+        for exponents of shape K.
         """
         if isinstance(z, np.ndarray) and z.ndim:
-            return self.spectral.power(z)
+            return self.spectral.power(self._per_slice(z))
         key = complex(z)
         got = self._pow_cache.get(key)
         if got is None:
-            got = self._pow_cache[key] = self.spectral.power(key)
+            got = self._pow_cache[key] = self.spectral.power(self._per_slice(key))
         return got
+
+    def _per_slice(self, z):
+        # The exponents z, shape K, repeated for each slice of a stack.
+        if not self.batch:
+            return z
+        return np.broadcast_to(np.asarray(z, dtype=complex), self.batch + np.shape(z))
 
     def reduced(self, dims: tuple[int, int]) -> "DensityMatrix":
         """Reduced state Tr_B of a state on A (x) B with dims (d_A, d_B), cached per dims."""
         key = (int(dims[0]), int(dims[1]))
         got = self._reduced_cache.get(key)
         if got is None:
-            got = self._reduced_cache[key] = DensityMatrix(partial_trace(self.matrix, key, "B"))
+            got = self._reduced_cache[key] = _density(partial_trace(self.matrix, key, "B"))
         return got
 
     def sqrt(self) -> np.ndarray:
@@ -96,7 +136,13 @@ class DensityMatrix:
         return herm_part(self.spectral.apply(np.log))
 
     def __repr__(self):
-        return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eig:.3e})"
+        stack = f", stack={self.batch[0]}" if self.batch else ""
+        return f"DensityMatrix(dim={self.dim}{stack}, min_eig={np.min(self.min_eig):.3e})"
+
+
+def _density(m: np.ndarray) -> DensityMatrix:
+    """DensityMatrix of one matrix, or DensityMatrix.stack of a (T, d, d) array."""
+    return DensityMatrix(m) if np.ndim(m) == 2 else DensityMatrix.stack(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,22 +153,41 @@ class KrausChannel:
     as Tr_B on a space with dims (d_A, d_B), so that apply_density returns
     the input state's cached reduced state instead of a new one, and
     adjoint_apply is lift_b.
+
+    KrausChannel.stack makes T channels with one Kraus count at once: each
+    operator has shape (T, out_dim, in_dim), and slice t of the family is
+    channel t. It applies to a stack of T states, slice by slice.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
     traced_dims: tuple[int, int] | None = None
 
     def __post_init__(self):
+        self._check_ops(0)
+
+    @classmethod
+    def stack(cls, kraus_ops) -> "KrausChannel":
+        """T channels from Kraus operators of shape (T, out_dim, in_dim),
+        checked slice by slice."""
+        ch = object.__new__(cls)
+        object.__setattr__(ch, "kraus_ops", tuple(kraus_ops))
+        object.__setattr__(ch, "traced_dims", None)
+        ch._check_ops(1)
+        return ch
+
+    def _check_ops(self, stacked: int) -> None:
         if len(self.kraus_ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
-            raise DimensionMismatch("Kraus operators must be 2-d arrays of one shape")
+        if len(shape) != 2 + stacked or any(k.shape != shape for k in ops):
+            kind = "(T, out, in) stacks" if stacked else "2-d arrays"
+            raise DimensionMismatch(f"Kraus operators must be {kind} of one shape")
         object.__setattr__(self, "kraus_ops", ops)
         comp = sum(dagger(k) @ k for k in ops)
-        if frobenius(comp - np.eye(self.in_dim)) > CHANNEL_TOL:
-            raise ValueError("Kraus family is not trace preserving within tolerance")
+        failed = failing_slice(frobenius(comp - np.eye(self.in_dim)) > CHANNEL_TOL)
+        if failed:
+            raise ValueError(f"{failed[0]}Kraus family is not trace preserving within tolerance")
         if self.traced_dims is not None:
             d_a, d_b = self.traced_dims
             if (self.out_dim, self.in_dim) != (d_a, d_a * d_b):
@@ -130,16 +195,17 @@ class KrausChannel:
 
     @property
     def in_dim(self) -> int:
-        return int(self.kraus_ops[0].shape[1])
+        return int(self.kraus_ops[0].shape[-1])
 
     @property
     def out_dim(self) -> int:
-        return int(self.kraus_ops[0].shape[0])
+        return int(self.kraus_ops[0].shape[-2])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action sum_i K_i rho K_i^dagger."""
+        """Channel action sum_i K_i rho K_i^dagger; slice by slice for a
+        (T, d, d) stack of states."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.in_dim, self.in_dim):
+        if rho.shape[-2:] != (self.in_dim, self.in_dim):
             raise DimensionMismatch(
                 f"state of side {rho.shape} does not match in_dim {self.in_dim}"
             )
@@ -162,9 +228,10 @@ class KrausChannel:
         return sum(dagger(k) @ a @ k for k in self.kraus_ops)
 
     def apply_density(self, rho: DensityMatrix) -> DensityMatrix:
+        """The output state; a stack for a stack of states or of channels."""
         if self.traced_dims is not None:
             return rho.reduced(self.traced_dims)
-        return DensityMatrix(self.apply(rho.matrix))
+        return _density(self.apply(rho.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,42 +291,58 @@ def stream(seed, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Complex standard-normal matrix."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def _streams(rng_seed):
+    # One generator, or a list of them for a sequence of seeds.
+    if isinstance(rng_seed, (list, tuple)):
+        return [stream(s) for s in rng_seed]
+    return stream(rng_seed)
+
+
+def ginibre(rng, rows: int, cols: int) -> np.ndarray:
+    """Complex standard-normal matrix; for a list of T generators, the
+    (T, rows, cols) stack whose slice t is generator t's draw."""
+    if isinstance(rng, np.random.Generator):
+        re, im = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
+    else:
+        parts = np.array([(r.standard_normal((rows, cols)), r.standard_normal((rows, cols)))
+                          for r in rng])
+        re, im = parts[:, 0], parts[:, 1]
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def random_density(dim: int, rng_seed) -> DensityMatrix:
     """Full-rank random state rho = G G^dagger / Tr from the Ginibre ensemble.
 
     Samples with a smallest eigenvalue below REG_TRIGGER are mixed with
-    REG_DELTA * I/d.
+    REG_DELTA * I/d. A sequence of T seeds or generators draws a stack,
+    slice t from the t-th, equal to the draw from that generator alone.
     """
-    rng = stream(rng_seed)
-    g = ginibre(rng, dim, dim)
+    g = ginibre(_streams(rng_seed), dim, dim)
     rho = g @ dagger(g)
-    rho = rho / np.trace(rho).real
-    if float(np.linalg.eigvalsh(herm_part(rho)).min()) < REG_TRIGGER:
-        rho = (1.0 - REG_DELTA) * rho + REG_DELTA * np.eye(dim) / dim
-    return DensityMatrix(rho)
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    near = np.linalg.eigvalsh(herm_part(rho)).min(axis=-1) < REG_TRIGGER
+    if near.any():
+        mixed = (1.0 - REG_DELTA) * rho + REG_DELTA * np.eye(dim) / dim
+        rho = np.where(near[..., None, None], mixed, rho)
+    return _density(rho)
 
 
 def _fix_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     # Make the QR factor unique so samples are Haar distributed and
-    # reproducible across runs.
-    d = np.diagonal(r).copy()
+    # reproducible across runs; slice by slice for a stack.
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_isometry(rows: int, cols: int, rng_seed) -> np.ndarray:
     """Haar-random isometry (orthonormal columns), rows >= cols, via
     phase-fixed QR of a Ginibre matrix; a Haar-random unitary at rows ==
-    cols."""
+    cols. A sequence of T seeds or generators draws a (T, rows, cols)
+    stack, slice t from the t-th."""
     if rows < cols:
         raise DimensionMismatch(f"no isometry from dim {cols} into dim {rows}")
-    rng = stream(rng_seed)
-    q, r = np.linalg.qr(ginibre(rng, rows, cols))
+    q, r = np.linalg.qr(ginibre(_streams(rng_seed), rows, cols))
     return _fix_phases(q, r)
 
 
@@ -267,9 +350,13 @@ def random_channel(in_dim: int, out_dim: int | None = None, env_dim: int | None 
                    rng_seed=0) -> KrausChannel:
     """Generic CPTP map from a Haar-random Stinespring isometry.
 
-    env_dim defaults to out_dim, which produces full-rank channels.
+    env_dim defaults to max(out_dim, ceil(in_dim / out_dim)): out_dim
+    produces full-rank channels, and the isometry needs out_dim * env_dim
+    >= in_dim. A sequence of T seeds or generators draws KrausChannel.stack
+    of T channels, channel t from the t-th.
     """
     out_dim = in_dim if out_dim is None else out_dim
-    env_dim = out_dim if env_dim is None else env_dim
+    env_dim = max(out_dim, -(-in_dim // out_dim)) if env_dim is None else env_dim
     v = random_isometry(out_dim * env_dim, in_dim, rng_seed)
-    return KrausChannel(tuple(v.reshape(out_dim, env_dim, in_dim).swapaxes(0, 1)))
+    ops = tuple(np.moveaxis(v.reshape(v.shape[:-2] + (out_dim, env_dim, in_dim)), -2, 0))
+    return KrausChannel(ops) if v.ndim == 2 else KrausChannel.stack(ops)

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from renyidpi import ConfigInvalid, equality, matrix_to_json
+from renyidpi import ConfigInvalid, KrausChannel, cli, equality, matrix_to_json, random_channel, stream
 from renyidpi.cli import (
     CSV_COLUMNS,
     DEFAULT_ALPHA_GRID,
@@ -332,3 +333,85 @@ class TestMain:
         assert rc == 0
         row = read_rows(out, "json")[0]
         assert row.d_sand == pytest.approx(np.log(4.0 / 3.0), abs=1e-12)
+
+
+class TestStackedScans:
+    # divergence and dpi-scan evaluate a block of trials in one stacked pass.
+
+    @pytest.mark.parametrize("scenario", ["divergence", "dpi-scan"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_blocks_equal_one_trial_runs(self, monkeypatch, scenario, dims):
+        # Blocks of 3 (the last one short) against the one-state path.
+        monkeypatch.setattr(cli, "TRIAL_BLOCK", 3)
+        cfg = ExperimentConfig(scenario=scenario, seed=7, trials=8, dims=dims)
+        rows, summary = run(cfg)
+        singles = [row for t in range(8) for row in cli._run_trial(cfg, t)[0]]
+        assert summary["errors"] == [] and rows == singles
+
+    def test_dpi_scan_with_a_larger_traced_factor(self):
+        # d_B > d_A: the odd trials' channels map dim 6 to dim 2.
+        for dims in ((2, 3), (2, 4)):
+            rows, summary = run(ExperimentConfig(scenario="dpi-scan", seed=1, dims=dims))
+            assert summary["errors"] == [] and summary["pass"]
+            assert all(r.dpi_gap > 0.0 for r in rows if r.trial % 2)
+
+    def test_a_failing_trial_is_recorded_alone(self, monkeypatch):
+        # Trial 3's channel maps every state to |0><0|, below the floor.
+        cfg = dict(scenario="dpi-scan", seed=1, trials=8)
+        clean, _ = run(ExperimentConfig(**cfg))
+        trial_of = {}
+
+        def tagged(seed, *key):
+            rng = stream(seed, *key)
+            trial_of[id(rng)] = key[0]
+            return rng
+
+        pinch = np.zeros((4, 2, 4), dtype=complex)
+        pinch[np.arange(4), 0, np.arange(4)] = 1.0
+
+        def planted(in_dim, out_dim, rng_seed):
+            ch = random_channel(in_dim, out_dim, rng_seed=rng_seed)  # the real draws
+            stacked = isinstance(rng_seed, list)
+            trials = [trial_of[id(r)] for r in (rng_seed if stacked else [rng_seed])]
+            if 3 not in trials:
+                return ch
+            ops = np.zeros((4, len(trials), 2, 4), dtype=complex)
+            ops[:2] = np.reshape(ch.kraus_ops, (2, len(trials), 2, 4))
+            ops[:, trials.index(3)] = pinch
+            return KrausChannel.stack(tuple(ops)) if stacked else KrausChannel(tuple(ops[:, 0]))
+
+        monkeypatch.setattr(cli, "stream", tagged)
+        monkeypatch.setattr(cli, "random_channel", planted)
+        rows, summary = run(ExperimentConfig(**cfg))
+        assert summary["errors"] == [{"trial": 3, "error": "NotPositiveDefinite: density matrix "
+                                      "has eigenvalue 0.000e+00 below floor 1e-10"}]
+        assert all(not r.dpi_ok and r.dpi_gap == 0.0 for r in rows if r.trial == 3)
+        assert [r for r in rows if r.trial != 3] == [r for r in clean if r.trial != 3]
+
+    def test_user_states_are_evaluated_once(self, monkeypatch):
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        scans = []
+        for trials in (1, 3):
+            eighs.clear()
+            rows, _ = run(ExperimentConfig(
+                scenario="divergence", seed=6, trials=trials,
+                rho=np.diag([0.5, 0.5]).astype(complex),
+                sigma=np.diag([0.25, 0.75]).astype(complex)))
+            scans.append((len(eighs), rows))
+        (one_count, one_rows), (three_count, three_rows) = scans
+        assert one_count == three_count > 0
+        assert [r.trial for r in three_rows] == [t for t in range(3) for _ in DEFAULT_ALPHA_GRID]
+        for t in range(3):
+            block = three_rows[t * 10:(t + 1) * 10]
+            assert [replace(r, trial=0) for r in block] == one_rows
+
+    def test_recovery_test_reuses_the_certificate(self, monkeypatch):
+        # The certificate's recovery error is the context's: one trace-norm
+        # SVD per trial, as for equality-scan.
+        svds = counting(monkeypatch, np.linalg, "svd")
+        counts = []
+        for scenario in ("recovery-test", "equality-scan"):
+            svds.clear()
+            run(ExperimentConfig(scenario=scenario, seed=3, trials=3, alpha_grid=(0.5,)))
+            counts.append(len(svds))
+        assert counts[0] == counts[1] == 3

@@ -5,6 +5,7 @@ import pytest
 
 from renyidpi import (
     DensityMatrix,
+    DimensionMismatch,
     InvalidAlpha,
     NonConvergence,
     OptimizerConfig,
@@ -673,3 +674,59 @@ class TestIntegralRepresentation:
         # At alpha = 0.999 the far nodes underflow e^u to 0, leaving m itself.
         with pytest.raises(QuadratureFailure):
             integral_power_quadrature(np.diag([1.0, 0.0]), 0.999)
+
+
+class TestStackedClosedForms:
+    # T = 5 random pairs as one stack: every closed form equals the T
+    # one-state calls bit for bit.
+
+    @staticmethod
+    def pairs(d, seed):
+        rngs = [stream(seed, t) for t in range(5)]
+        return rngs, random_density(d, rngs), random_density(d, rngs)
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_divergences(self, d):
+        _, rho, sigma = self.pairs(d, 50)
+        grid = np.array(DEFAULT_ALPHA_GRID)
+        got = (sandwiched_renyi(rho, sigma, grid), petz_renyi(rho, sigma, grid),
+               sandwiched_renyi(rho, sigma, 0.5), petz_renyi(rho, sigma, -1.0),
+               relative_entropy(rho, sigma))
+        assert [g.shape for g in got] == [(5, 10), (5, 10), (5,), (5,), (5,)]
+        for t in range(5):
+            rng = stream(50, t)
+            one_rho, one_sigma = random_density(d, rng), random_density(d, rng)
+            want = (sandwiched_renyi(one_rho, one_sigma, grid), petz_renyi(one_rho, one_sigma, grid),
+                    sandwiched_renyi(one_rho, one_sigma, 0.5),
+                    petz_renyi(one_rho, one_sigma, -1.0), relative_entropy(one_rho, one_sigma))
+            assert all(np.array_equal(g[t], w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("kind", ("trace", "kraus"))
+    def test_dpi_gap(self, d, kind):
+        # Pairs on d x 2, under Tr_B or one random channel to d per slice.
+        rngs, rho, sigma = self.pairs(2 * d, 51)
+        ch = (partial_trace_channel(d, 2) if kind == "trace"
+              else random_channel(2 * d, d, rng_seed=rngs))
+        gaps = dpi_gap(rho, sigma, ch, DEFAULT_ALPHA_GRID)
+        for t in range(5):
+            rng = stream(51, t)
+            one_rho, one_sigma = random_density(2 * d, rng), random_density(2 * d, rng)
+            one_ch = (partial_trace_channel(d, 2) if kind == "trace"
+                      else random_channel(2 * d, d, rng_seed=rng))
+            assert np.array_equal(gaps[t], dpi_gap(one_rho, one_sigma, one_ch, DEFAULT_ALPHA_GRID))
+
+    def test_equal_slices_give_exact_zeros(self):
+        _, rho, sigma = self.pairs(3, 52)
+        same = DensityMatrix.stack(np.where(np.arange(5)[:, None, None] == 2,
+                                            rho.matrix, sigma.matrix))
+        got = sandwiched_renyi(rho, same, DEFAULT_ALPHA_GRID)
+        assert np.array_equal(got[2], np.zeros(10))
+        assert relative_entropy(rho, same)[2] == 0.0
+        assert np.array_equal(got[[0, 1, 3, 4]],
+                              sandwiched_renyi(rho, sigma, DEFAULT_ALPHA_GRID)[[0, 1, 3, 4]])
+
+    def test_stacks_must_match(self):
+        _, rho, _ = self.pairs(2, 53)
+        with pytest.raises(DimensionMismatch, match="stacks"):
+            sandwiched_renyi(rho, random_density(2, 0), 0.5)

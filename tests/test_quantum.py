@@ -266,3 +266,58 @@ class TestPurification:
         proj = np.outer(psi, psi.conj())
         np.testing.assert_allclose(partial_trace(proj, (3, 3), "B"), rho.matrix, atol=1e-10)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+class TestStacks:
+    # A stack of T states or channels: each slice equals the one-state
+    # call bit for bit.
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_stacked_draw_equals_per_generator_draws(self, d):
+        stacked = random_density(d, [stream(9, t) for t in range(5)])
+        assert stacked.batch == (5,) and stacked.min_eig.shape == (5,)
+        for t in range(5):
+            one = random_density(d, stream(9, t))
+            assert np.array_equal(stacked.matrix[t], one.matrix)
+            assert np.array_equal(stacked.spectral.eigenvectors[t], one.spectral.eigenvectors)
+            assert np.array_equal(stacked.power(-0.3)[t], one.power(-0.3))
+            assert np.array_equal(stacked.log()[t], one.log())
+            assert np.array_equal(stacked.power(np.array([0.5, 1j]))[t],
+                                  one.power(np.array([0.5, 1j])))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_stacked_channels_and_outputs(self, dims):
+        d_a, d_b = dims
+        rngs = [stream(10, t) for t in range(5)]
+        rho = random_density(d_a * d_b, rngs)
+        chs = random_channel(d_a * d_b, d_a, rng_seed=rngs)
+        reduced = partial_trace_channel(d_a, d_b).apply_density(rho)
+        out = chs.apply_density(rho)
+        for t in range(5):
+            rng = stream(10, t)
+            one = random_density(d_a * d_b, rng)
+            ch = random_channel(d_a * d_b, d_a, rng_seed=rng)
+            assert all(np.array_equal(k[t], k1) for k, k1 in zip(chs.kraus_ops, ch.kraus_ops))
+            assert np.array_equal(reduced.matrix[t], one.reduced(dims).matrix)
+            assert np.array_equal(out.matrix[t], ch.apply_density(one).matrix)
+
+    def test_stacks_need_the_named_constructors(self):
+        with pytest.raises(NonSquare):
+            DensityMatrix.stack(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatch):
+            KrausChannel.stack((np.eye(2),))
+
+    def test_stack_errors_name_the_slice(self):
+        states = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])], dtype=complex)
+        with pytest.raises(NotPositiveDefinite, match=r"^slice 1: density matrix has eigenvalue"):
+            DensityMatrix.stack(states)
+        with pytest.raises(ValueError, match=r"^slice 0: trace 2\.0 is not 1"):
+            DensityMatrix.stack(2 * states[:1])
+
+    def test_default_environment_admits_a_larger_input(self):
+        # Tr_B on 2x3 maps dim 6 to dim 2: the isometry needs env >= 3,
+        # while dim 4 to dim 2 keeps the full-rank default env = out_dim.
+        wide = random_channel(6, 2, rng_seed=1)
+        assert len(wide.kraus_ops) == 3
+        assert frobenius(sum(dagger(k) @ k for k in wide.kraus_ops) - np.eye(6)) <= 1e-10
+        assert len(random_channel(4, 2, rng_seed=1).kraus_ops) == 2
