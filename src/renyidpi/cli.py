@@ -16,12 +16,15 @@ README): variational-check stores the optimizer value mismatch in dpi_gap
 and the trace distance between the searched and closed-form optimizers in
 recovery_err; integral-check stores the quadrature residual in dpi_gap.
 
-Trials run in blocks of at most TRIAL_BLOCK. divergence and dpi-scan
-evaluate a block in one stacked pass: each trial draws from its own
-stream(seed, trial), and each library call takes the block's stack of
-states, so the rows equal those of one-trial runs bit for bit. If the
-stacked pass raises, the block runs again trial by trial, so a failing
-trial is recorded alone and with the error of its own run.
+Every scenario has one runner in _RUNNERS, called as (cfg, trials, rng),
+and returns its rows through one row builder. Trials run in blocks of at
+most TRIAL_BLOCK, and each trial draws from its own stream(seed, trial).
+divergence and dpi-scan group a block's trials and run each group in one
+stacked pass: rng is the list of the group's generators, and each
+library call takes the group's stack of states, so the rows equal those
+of one-trial runs bit for bit. The other scenarios, and a group whose
+stacked pass raises, run trial by trial with a lone generator, so a
+failing trial is recorded alone, with the error of its own run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -186,24 +189,23 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _row_error(trial: int, alpha: float) -> ScanRow:
-    return ScanRow(trial=trial, alpha=alpha, dpi_ok=False, saturated=False)
+# The columns after (trial, alpha): each one's place in a row, and its default.
+_COLUMN_INDEX = {f.name: i for i, f in enumerate(fields(ScanRow)[2:])}
+_COLUMN_DEFAULTS = [f.default for f in fields(ScanRow)[2:]]
 
 
 def _grid_rows(cfg, trials, **columns):
-    # One ScanRow per (trial, alpha), trial-major. Each column's last axis
-    # runs over the alpha grid (or has length 1); a stacked column leads
-    # with the trials, and an unstacked one holds for every trial.
-    shape = (len(trials), len(cfg.alpha_grid))
-    names = tuple(columns)
-    values = zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in columns.values()))
+    # One ScanRow per (trial, alpha), trial-major; columns not given keep
+    # their defaults. Each column's last axis runs over the alpha grid (or
+    # has length 1); a stacked column leads with the trials, and an
+    # unstacked one holds for every trial. The cells pass through one
+    # float grid; ScanRow casts the two flag columns back to bool.
+    grid = np.empty((len(trials), len(cfg.alpha_grid), len(_COLUMN_DEFAULTS)))
+    grid[...] = _COLUMN_DEFAULTS
+    for name, value in columns.items():
+        grid[..., _COLUMN_INDEX[name]] = value
     keys = [(trial, alpha) for trial in trials for alpha in cfg.alpha_grid]
-    return [ScanRow(trial, alpha, **dict(zip(names, row))) for (trial, alpha), row in zip(keys, values)]
-
-
-# Stacked runners take (cfg, trials, rng): with one generator per trial,
-# every library call takes the stack of the trials' states; with a lone
-# generator, the one trial goes through the one-state calls.
+    return [ScanRow(*key, *row) for key, row in zip(keys, grid.reshape(len(keys), -1).tolist())]
 
 
 def _divergence_rows(cfg, trials, rng):
@@ -221,7 +223,7 @@ def _divergence_rows(cfg, trials, rng):
 
 
 def _dpi_rows(cfg, trials, rng):
-    # The trials share a parity (see _STACKED_RUNNERS).
+    # The trials share a parity (see _RUNNERS).
     d_a, d_b = cfg.dims
     dim = d_a * d_b
     rho = random_density(dim, rng)
@@ -235,109 +237,83 @@ def _dpi_rows(cfg, trials, rng):
     return _grid_rows(cfg, trials, dpi_gap=gaps, dpi_ok=gaps >= -cfg.tolerances["dpi"])
 
 
-def _report_rows(cfg, trial, rho_ab, sigma_ab, recovery=None):
+def _report_rows(cfg, trials, rho_ab, sigma_ab, recovery=None):
     tol_sat = cfg.tolerances["saturation"]
     tol_dpi = cfg.tolerances["dpi"]
     # An empty beta_grid, like None, means each order's default grid.
     ctx = SaturationContext.build(rho_ab, sigma_ab, cfg.dims, cfg.alpha_grid,
                                   cfg.beta_grid or None, recovery)
-    rows = []
-    for alpha in cfg.alpha_grid:
-        report = full_report(ctx, alpha)
-        peak = int(np.argmax(report.t3_by_beta))
-        res = report.residuals
-        rows.append(ScanRow(
-            trial=trial, alpha=alpha,
-            beta_re=report.beta_grid[peak].real, beta_im=report.beta_grid[peak].imag,
-            dpi_gap=res["dpi_gap"], t1=res["t1"], t1_geo=res["t1_geo"],
-            t3=res["t3"], petz_beta=res["petz_beta"],
-            necessary2=res["necessary2"], commutator=res["commutator"],
-            recovery_err=ctx.recovery_error,
-            dpi_ok=mutual_implication_ok(report),
-            saturated=res["dpi_gap"] <= tol_dpi and report.saturated(tol_sat),
-        ))
-    return rows
+    reports = [full_report(ctx, alpha) for alpha in cfg.alpha_grid]
+    peaks = [r.beta_grid[int(np.argmax(r.t3_by_beta))] for r in reports]
+    return _grid_rows(
+        cfg, trials,
+        beta_re=[b.real for b in peaks], beta_im=[b.imag for b in peaks],
+        **{name: [r.residuals[name] for r in reports]
+           for name in ("dpi_gap", "t1", "t1_geo", "t3", "petz_beta", "necessary2", "commutator")},
+        recovery_err=ctx.recovery_error,
+        dpi_ok=[mutual_implication_ok(r) for r in reports],
+        saturated=[r.residuals["dpi_gap"] <= tol_dpi and r.saturated(tol_sat) for r in reports],
+    )
 
 
-def _equality_rows(cfg, trial, rng):
+def _equality_rows(cfg, trials, rng):
     dim = cfg.dims[0] * cfg.dims[1]
     rho_ab = random_density(dim, rng)
     sigma_ab = random_density(dim, rng)
-    return _report_rows(cfg, trial, rho_ab, sigma_ab)
+    return _report_rows(cfg, trials, rho_ab, sigma_ab)
 
 
-def _recovery_rows(cfg, trial, rng):
-    kind = RECOVERABLE_KINDS[trial % len(RECOVERABLE_KINDS)]
+def _recovery_rows(cfg, trials, rng):
+    kind = RECOVERABLE_KINDS[trials[0] % len(RECOVERABLE_KINDS)]
     pair = build_recoverable_triple(kind, cfg.dims, rng)
-    return _report_rows(cfg, trial, pair.rho_ab, pair.sigma_ab, pair.recovery_error)
+    return _report_rows(cfg, trials, pair.rho_ab, pair.sigma_ab, pair.recovery_error)
 
 
-def _variational_rows(cfg, trial, rng):
+def _variational_rows(cfg, trials, rng):
     rho = random_density(cfg.dims[0], rng)
     sigma = random_density(cfg.dims[0], rng)
-    tol_v = cfg.tolerances["variational_value"]
-    tol_s = cfg.tolerances["variational_state"]
     opt_cfg = OptimizerConfig(restarts=cfg.restarts, seed=0)
     d_sand = sandwiched_renyi(rho, sigma, cfg.alpha_grid)
     values, omegas = variational_value(rho, sigma, cfg.alpha_grid, opt_cfg)
-    rows = []
-    for alpha, sand, value, omega in zip(cfg.alpha_grid, d_sand, values, omegas):
-        closed = closed_form_optimizer(rho, sigma, alpha)
-        gap = abs(value - closed.value)
-        dist = trace_distance(omega, closed.omega_star)
-        rows.append(ScanRow(
-            trial=trial, alpha=alpha,
-            d_sand=sand, dpi_gap=gap, recovery_err=dist,
-            dpi_ok=gap <= tol_v and dist <= tol_s,
-        ))
-    return rows
+    closed = [closed_form_optimizer(rho, sigma, alpha) for alpha in cfg.alpha_grid]
+    gap = np.abs(values - [c.value for c in closed])
+    dist = np.array([trace_distance(omega, c.omega_star) for omega, c in zip(omegas, closed)])
+    return _grid_rows(cfg, trials, d_sand=d_sand, dpi_gap=gap, recovery_err=dist,
+                      dpi_ok=(gap <= cfg.tolerances["variational_value"])
+                      & (dist <= cfg.tolerances["variational_state"]))
 
 
-def _integral_rows(cfg, trial, rng):
+def _integral_rows(cfg, trials, rng):
     # Positive-definite test matrix with eigenvalues of order one.
     m = random_density(cfg.dims[0], rng).matrix * cfg.dims[0]
-    tol = cfg.tolerances["integral"]
     resids = integral_representation_check(m, cfg.alpha_grid)
-    return [ScanRow(trial=trial, alpha=alpha, dpi_gap=resid, dpi_ok=resid <= tol)
-            for alpha, resid in zip(cfg.alpha_grid, resids)]
+    return _grid_rows(cfg, trials, dpi_gap=resids, dpi_ok=resids <= cfg.tolerances["integral"])
 
 
-# Runners of one trial, (cfg, trial, rng).
-_TRIAL_RUNNERS = {
-    "equality-scan": _equality_rows,
-    "recovery-test": _recovery_rows,
-    "variational-check": _variational_rows,
-    "integral-check": _integral_rows,
-}
-
-# Stacked runners, each with the key of a trial's group: the trials of one
-# group share each stacked call. dpi-scan's even trials go through Tr_B,
-# its odd ones through random Kraus channels.
-_STACKED_RUNNERS = {
+# Each scenario's runner, (cfg, trials, rng), and the key of a trial's
+# stacked group, or None to run every trial alone. Given one generator per
+# trial of a group, a runner makes each library call once on the group's
+# stack of states; given a lone generator, it runs its one trial through
+# the one-state calls. dpi-scan's even trials go through Tr_B, its odd
+# ones through random Kraus channels.
+_RUNNERS = {
     "divergence": (_divergence_rows, lambda trial: 0),
     "dpi-scan": (_dpi_rows, lambda trial: trial % 2),
+    "equality-scan": (_equality_rows, None),
+    "recovery-test": (_recovery_rows, None),
+    "variational-check": (_variational_rows, None),
+    "integral-check": (_integral_rows, None),
 }
 
 _TRIAL_ERRORS = (RenyiDpiError, ValueError, np.linalg.LinAlgError)
 
 
-def _run_trial(config: ExperimentConfig, trial: int):
-    # Each trial derives its own stream from (seed, trial), so its rows do
-    # not depend on which trials ran before it.
-    rng = stream(config.seed, trial)
-    try:
-        if config.scenario in _STACKED_RUNNERS:
-            return _STACKED_RUNNERS[config.scenario][0](config, [trial], rng), None
-        return _TRIAL_RUNNERS[config.scenario](config, trial, rng), None
-    except _TRIAL_ERRORS as exc:
-        rows = [_row_error(trial, alpha) for alpha in config.alpha_grid]
-        return rows, {"trial": trial, "error": f"{type(exc).__name__}: {exc}"}
-
-
 def _run_block(config: ExperimentConfig, trials: list[int]):
-    # Rows of the trials, in trial order, and their error records.
-    if config.scenario in _STACKED_RUNNERS:
-        runner, group_of = _STACKED_RUNNERS[config.scenario]
+    # Rows of the trials, in trial order, and their error records. Each
+    # trial derives its own stream from (seed, trial), so its rows do not
+    # depend on which trials ran before it or beside it.
+    runner, group_of = _RUNNERS[config.scenario]
+    if group_of is not None:
         try:
             rows = []
             for key in dict.fromkeys(map(group_of, trials)):
@@ -348,10 +324,11 @@ def _run_block(config: ExperimentConfig, trials: list[int]):
             pass  # run trial by trial: a failure is then its own trial's record
     rows, errors = [], []
     for trial in trials:
-        trial_rows, error = _run_trial(config, trial)
-        rows.extend(trial_rows)
-        if error is not None:
-            errors.append(error)
+        try:
+            rows += runner(config, [trial], stream(config.seed, trial))
+        except _TRIAL_ERRORS as exc:
+            rows += _grid_rows(config, [trial], dpi_ok=False)
+            errors.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}"})
     return rows, errors
 
 

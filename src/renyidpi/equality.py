@@ -193,7 +193,7 @@ def _t3_family(rho: DensityMatrix, sigma: DensityMatrix, alphas: np.ndarray,
                           betas.shape)
     z = np.array([b / d for b, d in zip(betas.ravel().tolist(), den.ravel().tolist())],
                  dtype=complex).reshape(betas.shape)
-    return (sigma.spectral.power(betas)
+    return (sigma.power(betas)
             @ product_power(rho.matrix, sigma.spectral, alphas, z))
 
 
@@ -218,7 +218,7 @@ def petz_beta_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, be
     shape (an (n, k) grid with a row per order, say), gives the array of
     residuals of that shape, each equal to the scalar call."""
     betas = np.asarray(beta, dtype=complex)
-    return _condition_residual(lambda r, s: s.spectral.power(betas) @ r.spectral.power(-betas),
+    return _condition_residual(lambda r, s: s.power(betas) @ r.power(-betas),
                                rho, sigma, ch)
 
 

@@ -96,23 +96,25 @@ class DensityMatrix:
         self.batch = stored.shape[:-2]
         self.dim = int(stored.shape[-1])
         self.min_eig = min_eig if self.batch else float(min_eig)
-        self._pow_cache: dict[complex, np.ndarray] = {}
+        self._pow_cache: dict = {}
         self._reduced_cache: dict[tuple[int, int], DensityMatrix] = {}
 
     def power(self, z) -> np.ndarray:
-        """Principal matrix power, cached per exponent.
+        """Principal matrix power, cached per exponent and read-only.
 
         An array of exponents gives the stack of powers (see
-        SpectralDecomposition.power); stacks are not cached. A stack of
-        states raises every slice to the same exponents: shape (T, *K, d, d)
-        for exponents of shape K.
+        SpectralDecomposition.power), cached per shape, dtype and value.
+        A stack of states raises every slice to the same exponents: shape
+        (T, *K, d, d) for exponents of shape K.
         """
         if isinstance(z, np.ndarray) and z.ndim:
-            return self.spectral.power(self._per_slice(z))
-        key = complex(z)
+            key = (z.shape, z.dtype.str, z.tobytes())
+        else:
+            key = z = complex(z)
         got = self._pow_cache.get(key)
         if got is None:
-            got = self._pow_cache[key] = self.spectral.power(self._per_slice(key))
+            got = self._pow_cache[key] = self.spectral.power(self._per_slice(z))
+            got.setflags(write=False)
         return got
 
     def _per_slice(self, z):

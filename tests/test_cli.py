@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from renyidpi import ConfigInvalid, KrausChannel, cli, equality, matrix_to_json, random_channel, stream
+from renyidpi import ConfigInvalid, KrausChannel, RenyiDpiError, cli, equality, matrix_to_json, random_channel, stream
 from renyidpi.cli import (
     CSV_COLUMNS,
     DEFAULT_ALPHA_GRID,
@@ -345,7 +345,8 @@ class TestStackedScans:
         monkeypatch.setattr(cli, "TRIAL_BLOCK", 3)
         cfg = ExperimentConfig(scenario=scenario, seed=7, trials=8, dims=dims)
         rows, summary = run(cfg)
-        singles = [row for t in range(8) for row in cli._run_trial(cfg, t)[0]]
+        runner = cli._RUNNERS[scenario][0]
+        singles = [row for t in range(8) for row in runner(cfg, [t], stream(7, t))]
         assert summary["errors"] == [] and rows == singles
 
     def test_dpi_scan_with_a_larger_traced_factor(self):
@@ -387,6 +388,34 @@ class TestStackedScans:
                                       "has eigenvalue 0.000e+00 below floor 1e-10"}]
         assert all(not r.dpi_ok and r.dpi_gap == 0.0 for r in rows if r.trial == 3)
         assert [r for r in rows if r.trial != 3] == [r for r in clean if r.trial != 3]
+
+    def test_a_failing_per_trial_scenario_trial_is_recorded_alone(self, monkeypatch):
+        # recovery-test runs trial by trial; trial 2's triple raises.
+        cfg = dict(scenario="recovery-test", seed=1, trials=4)
+        clean, _ = run(ExperimentConfig(**cfg))
+        build = cli.build_recoverable_triple
+        trial_2 = []
+
+        def tagged(seed, *key):
+            rng = stream(seed, *key)
+            if key == (2,):
+                trial_2.append(rng)
+            return rng
+
+        def planted(kind, dims, rng):
+            pair = build(kind, dims, rng)  # the real draws
+            if rng in trial_2:
+                raise RenyiDpiError("planted failure")
+            return pair
+
+        monkeypatch.setattr(cli, "stream", tagged)
+        monkeypatch.setattr(cli, "build_recoverable_triple", planted)
+        rows, summary = run(ExperimentConfig(**cfg))
+        assert summary["errors"] == [{"trial": 2, "error": "RenyiDpiError: planted failure"}]
+        failed = [r for r in rows if r.trial == 2]
+        assert failed == [ScanRow(2, a, dpi_ok=False) for a in DEFAULT_ALPHA_GRID]
+        assert [r for r in rows if r.trial != 2] == [r for r in clean if r.trial != 2]
+        assert [r.trial for r in rows] == [t for t in range(4) for _ in DEFAULT_ALPHA_GRID]
 
     def test_user_states_are_evaluated_once(self, monkeypatch):
         eighs = counting(monkeypatch, np.linalg, "eigh")

@@ -47,6 +47,7 @@ from renyidpi import (
     SaturationContext,
 )
 from renyidpi import equality
+from renyidpi.linalg import SpectralDecomposition
 from renyidpi.cli import DEFAULT_ALPHA_GRID
 from helpers import counting, nonhermitian_power, rand_pd
 
@@ -68,6 +69,17 @@ class TestEigensolveCount:
         for alpha in DEFAULT_ALPHA_GRID:
             full_report(ctx, alpha)
         assert len(calls) / len(DEFAULT_ALPHA_GRID) <= 1.5
+
+    def test_families_share_their_powers(self, monkeypatch):
+        # sigma^beta serves t3 and petz_beta on both sides, sigma_AB^alpha
+        # t1_geo and alpha_recover, and sigma_A^-alpha dpi_gap and
+        # alpha_recover: each stack is raised once per build.
+        for d in (2, 4):
+            rho, sigma = random_density(d * d, 11), random_density(d * d, 12)
+            applies = counting(monkeypatch, SpectralDecomposition, "apply")
+            SaturationContext.build(rho, sigma, (d, d), DEFAULT_ALPHA_GRID)
+            assert len(applies) <= 31
+            monkeypatch.undo()
 
     def test_recovery_error_reuses_the_reduced_state(self, monkeypatch):
         # The certificate of a recoverable triple builds Tr_B(sigma_AB)

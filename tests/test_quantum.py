@@ -52,6 +52,17 @@ class TestDensityMatrix:
         assert np.array_equal(rho.power(z), matrix_power_psd(rho.matrix, z))
         assert rho.power(z) is rho.power(z)
 
+    def test_array_powers_are_cached_read_only(self):
+        rho = random_density(3, 4)
+        z = np.array([[0.5, -0.3], [1j, 0.0]])
+        got = rho.power(z)
+        assert rho.power(z.copy()) is got and not got.flags.writeable
+        assert np.array_equal(got, matrix_power_psd(rho.matrix, z))
+        # The key holds shape and dtype as well as the bytes.
+        assert rho.power(z.ravel()).shape == (4, 3, 3)
+        assert rho.power(np.array([0.5, -0.3])) is not rho.power(np.array([0.5, -0.3], complex))
+        assert not rho.power(0.5).flags.writeable
+
     def test_cached_reduced_state(self):
         rho = random_density(6, 5)
         np.testing.assert_array_equal(rho.reduced((2, 3)).matrix,

@@ -2,12 +2,13 @@
 
     python3 tools/scan_diff.py OLD_TREE NEW_TREE --dims 2x2 4x4 --seeds 1 7
 
-Each tree is a checkout with the package under src/. For every scenario,
-dims and seed, both trees run `cli.run` and `cli.emit` to CSV, each in
-its own subprocess with that tree's src/ first on the path. The CSVs are
-compared cell by cell and the summaries key by key (runtime_s left out).
-For each column or summary key that differs, the largest absolute and
-relative change is printed.
+Each tree is a checkout with the package under src/. For every scenario
+in the tree's own cli.SCENARIOS, dims and seed, both trees run `cli.run`
+and `cli.emit` to CSV, each in its own subprocess with that tree's src/
+first on the path. The CSVs are compared cell by cell and the summaries
+key by key (runtime_s left out); a scenario only one tree has shows as a
+missing scan. For each column or summary key that differs, the largest
+absolute and relative change is printed.
 
 Exit status: 0 when no verdict changed, 1 when a dpi_ok, saturated,
 beta_re or beta_im cell, an error record or the row layout differs, 2 on
@@ -25,9 +26,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCENARIOS = ("divergence", "dpi-scan", "equality-scan", "recovery-test",
-             "variational-check", "integral-check")
-
 # Cells and summary keys whose change is a changed verdict, not roundoff.
 VERDICT_COLUMNS = ("dpi_ok", "saturated", "beta_re", "beta_im")
 VERDICT_KEYS = ("errors", "rows", "pass")
@@ -42,7 +40,7 @@ def _emit(tree: str, dims: list[str], seeds: list[int], trials: int | None) -> N
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "scan.csv")
-        for scenario in SCENARIOS:
+        for scenario in cli.SCENARIOS:
             for dim in dims:
                 d_a, d_b = (int(part) for part in dim.split("x"))
                 for seed in seeds:
