@@ -19,12 +19,16 @@ recovery_err; integral-check stores the quadrature residual in dpi_gap.
 Every scenario has one runner in _RUNNERS, called as (cfg, trials, rng),
 and returns its rows through one row builder. Trials run in blocks of at
 most TRIAL_BLOCK, and each trial draws from its own stream(seed, trial).
-divergence and dpi-scan group a block's trials and run each group in one
-stacked pass: rng is the list of the group's generators, and each
-library call takes the group's stack of states, so the rows equal those
-of one-trial runs bit for bit. The other scenarios, and a group whose
-stacked pass raises, run trial by trial with a lone generator, so a
-failing trial is recorded alone, with the error of its own run.
+divergence, dpi-scan, equality-scan and recovery-test group a block's
+trials and run each group in one stacked pass: rng is the list of the
+group's generators, and each library call takes the group's stack of
+states, so the rows equal those of one-trial runs bit for bit. A
+saturation group holds at most SATURATION_ENTRIES entries of its
+largest stack, which bounds the pass's memory (one trial per pass at
+4x4 on the default grids). variational-check and integral-check, and a
+group whose stacked pass raises, run trial by trial with a lone
+generator, so a failing trial is recorded alone, with the error of its
+own run.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .equality import (
     RECOVERABLE_KINDS,
     SaturationContext,
     build_recoverable_triple,
+    default_beta_grid,
     full_report,
     mutual_implication_ok,
 )
@@ -75,6 +80,11 @@ _FLOAT_COLUMNS = CSV_COLUMNS[1:-2]
 
 # Most trials evaluated in one stacked pass; bounds a block's memory.
 TRIAL_BLOCK = 64
+
+# Most entries, n_alpha * n_beta * d^2 per trial, of the largest stack in
+# one saturation pass: one 4x4 trial on the default grids. The stacked
+# build's memory grows with this product, so 4x4 runs one trial per pass.
+SATURATION_ENTRIES = 10 * 9 * 16**2
 
 DEFAULT_ALPHA_GRID = (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -243,16 +253,18 @@ def _report_rows(cfg, trials, rho_ab, sigma_ab, recovery=None):
     # An empty beta_grid, like None, means each order's default grid.
     ctx = SaturationContext.build(rho_ab, sigma_ab, cfg.dims, cfg.alpha_grid,
                                   cfg.beta_grid or None, recovery)
-    reports = [full_report(ctx, alpha) for alpha in cfg.alpha_grid]
-    peaks = [r.beta_grid[int(np.argmax(r.t3_by_beta))] for r in reports]
+    views = [ctx.trial(t) for t in range(len(trials))] if rho_ab.batch else [ctx]
+    # One full_report per (trial, alpha); each column leads with the trials.
+    reports = [[full_report(view, alpha) for alpha in cfg.alpha_grid] for view in views]
+    peaks = [[r.beta_grid[int(np.argmax(r.t3_by_beta))] for r in rs] for rs in reports]
     return _grid_rows(
-        cfg, trials,
-        beta_re=[b.real for b in peaks], beta_im=[b.imag for b in peaks],
-        **{name: [r.residuals[name] for r in reports]
+        cfg, trials, beta_re=np.real(peaks), beta_im=np.imag(peaks),
+        **{name: [[r.residuals[name] for r in rs] for rs in reports]
            for name in ("dpi_gap", "t1", "t1_geo", "t3", "petz_beta", "necessary2", "commutator")},
-        recovery_err=ctx.recovery_error,
-        dpi_ok=[mutual_implication_ok(r) for r in reports],
-        saturated=[r.residuals["dpi_gap"] <= tol_dpi and r.saturated(tol_sat) for r in reports],
+        recovery_err=[[view.recovery_error] for view in views],
+        dpi_ok=[[mutual_implication_ok(r) for r in rs] for rs in reports],
+        saturated=[[r.residuals["dpi_gap"] <= tol_dpi and r.saturated(tol_sat) for r in rs]
+                   for rs in reports],
     )
 
 
@@ -264,9 +276,17 @@ def _equality_rows(cfg, trials, rng):
 
 
 def _recovery_rows(cfg, trials, rng):
-    kind = RECOVERABLE_KINDS[trials[0] % len(RECOVERABLE_KINDS)]
-    pair = build_recoverable_triple(kind, cfg.dims, rng)
+    kinds = [RECOVERABLE_KINDS[t % len(RECOVERABLE_KINDS)] for t in trials]
+    pair = build_recoverable_triple(kinds if isinstance(rng, list) else kinds[0], cfg.dims, rng)
     return _report_rows(cfg, trials, pair.rho_ab, pair.sigma_ab, pair.recovery_error)
+
+
+def _saturation_pass(cfg) -> int:
+    """Trials per stacked saturation pass: as many as keep the largest
+    stack within SATURATION_ENTRIES, and at least one."""
+    n_beta = len(cfg.beta_grid or default_beta_grid(0.5))
+    per_trial = len(cfg.alpha_grid) * n_beta * (cfg.dims[0] * cfg.dims[1]) ** 2
+    return max(1, SATURATION_ENTRIES // per_trial)
 
 
 def _variational_rows(cfg, trials, rng):
@@ -291,16 +311,17 @@ def _integral_rows(cfg, trials, rng):
 
 
 # Each scenario's runner, (cfg, trials, rng), and the key of a trial's
-# stacked group, or None to run every trial alone. Given one generator per
-# trial of a group, a runner makes each library call once on the group's
-# stack of states; given a lone generator, it runs its one trial through
-# the one-state calls. dpi-scan's even trials go through Tr_B, its odd
-# ones through random Kraus channels.
+# stacked group, (cfg, trial), or None to run every trial alone. Given one
+# generator per trial of a group, a runner makes each library call once on
+# the group's stack of states; given a lone generator, it runs its one
+# trial through the one-state calls. dpi-scan's even trials go through
+# Tr_B, its odd ones through random Kraus channels; the saturation
+# scenarios group consecutive trials, _saturation_pass(cfg) at a time.
 _RUNNERS = {
-    "divergence": (_divergence_rows, lambda trial: 0),
-    "dpi-scan": (_dpi_rows, lambda trial: trial % 2),
-    "equality-scan": (_equality_rows, None),
-    "recovery-test": (_recovery_rows, None),
+    "divergence": (_divergence_rows, lambda cfg, trial: 0),
+    "dpi-scan": (_dpi_rows, lambda cfg, trial: trial % 2),
+    "equality-scan": (_equality_rows, lambda cfg, trial: trial // _saturation_pass(cfg)),
+    "recovery-test": (_recovery_rows, lambda cfg, trial: trial // _saturation_pass(cfg)),
     "variational-check": (_variational_rows, None),
     "integral-check": (_integral_rows, None),
 }
@@ -316,9 +337,12 @@ def _run_block(config: ExperimentConfig, trials: list[int]):
     if group_of is not None:
         try:
             rows = []
-            for key in dict.fromkeys(map(group_of, trials)):
-                group = [t for t in trials if group_of(t) == key]
-                rows += runner(config, group, [stream(config.seed, t) for t in group])
+            keys = [group_of(config, t) for t in trials]
+            for key in dict.fromkeys(keys):
+                group = [t for t, k in zip(trials, keys) if k == key]
+                rngs = [stream(config.seed, t) for t in group]
+                # A group of one takes the one-state calls: same rows, less work.
+                rows += runner(config, group, rngs if len(group) > 1 else rngs[0])
             return sorted(rows, key=attrgetter("trial")), []
         except _TRIAL_ERRORS:
             pass  # run trial by trial: a failure is then its own trial's record

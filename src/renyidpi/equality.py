@@ -39,7 +39,7 @@ one to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .errors import (
 from .linalg import (
     congruence_power,
     dagger,
+    failing_slice,
     frobenius,
     herm_part,
     lift_b,
@@ -60,6 +61,7 @@ from .linalg import (
     positive_eig,
     product_power,
     trace_norm,
+    unit_axes,
 )
 from .modular import (
     CompressionIsometry,
@@ -152,14 +154,16 @@ def t1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order):
     sigma^(-a/2) (sigma^(-a/2) rho sigma^(-a/2))^(a/(1-a)) sigma^(-a/2)
     against the adjoint channel applied to the same expression in the
     output states; zero exactly at data-processing saturation. A 1-D
-    array of orders gives the array of residuals.
+    array of orders gives the array of residuals, and stacks of T states
+    give shape (T,) or (T, n).
     """
     a = order_array(order)
     power = a / (1.0 - a)
 
     def side(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
         s_m = s.power(-a / 2.0)
-        return herm_part(congruence_power(r.matrix, s_m, power, s_m, s_m))
+        return herm_part(congruence_power(unit_axes(r.matrix, a.ndim), s_m,
+                                          r.per_slice(power), s_m, s_m))
 
     return _condition_residual(side, rho, sigma, ch)
 
@@ -170,13 +174,15 @@ def t1_geo_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order
     rho #_(1/(1-a)) sigma^a against the adjoint channel of the same mean
     of the output states. The square roots of rho and ch(rho) come from
     their cached eigen-data. A 1-D array of orders gives the array of
-    residuals.
+    residuals, and stacks of T states give shape (T,) or (T, n).
     """
     a = order_array(order)
     lam = 1.0 / (1.0 - a)
 
     def mean(r: DensityMatrix, s: DensityMatrix) -> np.ndarray:
-        return herm_part(congruence_power(s.power(a), r.power(-0.5), lam, r.sqrt(), r.sqrt()))
+        r_half = unit_axes(r.sqrt(), a.ndim)
+        return herm_part(congruence_power(s.power(a), unit_axes(r.power(-0.5), a.ndim),
+                                          r.per_slice(lam), r_half, r_half))
 
     return _condition_residual(mean, rho, sigma, ch)
 
@@ -229,8 +235,10 @@ def alpha_recover(sigma: DensityMatrix, ch: Channel, order, x: np.ndarray) -> np
 
     Trace preserving for every order; at alpha = 1/2 it is the Petz map,
     and it is not asserted to be positive elsewhere. A 1-D array of orders
-    gives the stack of the maps' outputs. Raises SingularOutputState when
-    ch(sigma) is below the positivity floor.
+    gives the stack of the maps' outputs. A stack of T states sigma maps a
+    (T, d, d) stack x slice by slice, with outputs of shape (T, d, d) or
+    (T, n, d, d). Raises SingularOutputState when ch(sigma) is below the
+    positivity floor.
     """
     a = order_array(order)
     try:
@@ -238,9 +246,9 @@ def alpha_recover(sigma: DensityMatrix, ch: Channel, order, x: np.ndarray) -> np
     except NotPositiveDefinite as exc:
         raise SingularOutputState("channel output of sigma is below the positivity floor") from exc
     x = np.asarray(x, dtype=complex)
-    if x.shape != (out.dim, out.dim):
+    if x.shape != out.batch + (out.dim, out.dim):
         raise DimensionMismatch(f"input side {x.shape} does not match the output dim {out.dim}")
-    inner = ch.adjoint_apply(out.power(a - 1.0) @ x @ out.power(-a))
+    inner = ch.adjoint_apply(out.power(a - 1.0) @ unit_axes(x, a.ndim) @ out.power(-a))
     return sigma.power(1.0 - a) @ inner @ sigma.power(a)
 
 
@@ -257,8 +265,11 @@ def petz_recover(sigma: DensityMatrix, ch: Channel, y: np.ndarray) -> np.ndarray
 def necessary1_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, order):
     """Perfect-recovery form of the power-family condition at beta = alpha - 1:
     the power-family map must send ch(rho) back to rho. A 1-D array of
-    orders gives the array of residuals."""
-    return _normalized(alpha_recover(sigma, ch, order, ch.apply_density(rho).matrix) - rho.matrix)
+    orders gives the array of residuals, and stacks of T states give shape
+    (T,) or (T, n)."""
+    a = order_array(order)
+    recovered = alpha_recover(sigma, ch, a, ch.apply_density(rho).matrix)
+    return _normalized(recovered - unit_axes(rho.matrix, a.ndim))
 
 
 def necessary2_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel) -> float:
@@ -267,9 +278,10 @@ def necessary2_residual(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel) -
     return _condition_residual(lambda r, s: s.matrix @ r.power(-1.0), rho, sigma, ch)
 
 
-def recovery_error(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel) -> float:
+def recovery_error(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel):
     """Trace-norm error of Petz recovery from the channel output,
-    || R_{sigma,ch}(ch(rho)) - rho ||_1."""
+    || R_{sigma,ch}(ch(rho)) - rho ||_1; for stacks of T states, the (T,)
+    array of the slices' errors from one batched SVD."""
     return trace_norm(petz_recover(sigma, ch, ch.apply_density(rho).matrix) - rho.matrix)
 
 
@@ -308,17 +320,18 @@ def _tempered_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 class RecoverablePair:
     """A pair built to saturate data processing under Tr_B, with its
     certificate: recovery_error is the Petz recovery error from the
-    reduced state. Unpacks as (rho_ab, sigma_ab)."""
+    reduced state (the (T,) array of the slices' errors for a stack of
+    pairs). Unpacks as (rho_ab, sigma_ab)."""
 
     rho_ab: DensityMatrix
     sigma_ab: DensityMatrix
-    recovery_error: float
+    recovery_error: float | np.ndarray
 
     def __iter__(self):
         return iter((self.rho_ab, self.sigma_ab))
 
 
-def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed) -> RecoverablePair:
+def build_recoverable_triple(kind, dims: tuple[int, int], rng_seed) -> RecoverablePair:
     """Construct (rho_AB, sigma_AB) that saturate data processing under Tr_B.
 
     Kinds:
@@ -334,14 +347,35 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed) -> Reco
       conjugated-product  a product pair conjugated by U_A otimes I_B for
                           a Haar-random unitary on A.
 
+    A sequence of T kinds with a list of T generators (or seeds) builds a
+    stack of T pairs: pair t has kind t and draws from generator t alone,
+    so it equals the one-pair build from that generator.
+
     Every output is certified at construction: the Petz map rebuilds
     rho_AB from rho_A to within 1e-9, and that recovery error is kept on
-    the returned pair for SaturationContext.build.
+    the returned pair for SaturationContext.build. A stack is certified in
+    one pass, and a failing certificate names its slice.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 2 or d_b < 2:
         raise DimensionMismatch(f"dims must be at least 2, got {dims}")
-    rng = stream(rng_seed)
+    if isinstance(kind, str):
+        rho, sigma = map(DensityMatrix, _recoverable_matrices(kind, d_a, d_b, stream(rng_seed)))
+    else:
+        pairs = [_recoverable_matrices(k, d_a, d_b, stream(r))
+                 for k, r in zip(kind, rng_seed, strict=True)]
+        rho, sigma = (DensityMatrix.stack(np.array(side)) for side in zip(*pairs))
+    cert = recovery_error(rho, sigma, partial_trace_channel(d_a, d_b))
+    failed = failing_slice(cert > 1e-9)
+    if failed:
+        raise RenyiDpiError(f"{failed[0]}recoverable-triple certificate failed: "
+                            f"recovery error {np.asarray(cert)[failed[1]]:.3e}")
+    return RecoverablePair(rho, sigma, cert)
+
+
+def _recoverable_matrices(kind: str, d_a: int, d_b: int,
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    # The matrices (rho_AB, sigma_AB) of one recoverable pair of this kind.
     if kind in ("product", "conjugated-product"):
         tau = _tempered_density(d_b, rng)
         rho_ab = np.kron(_tempered_density(d_a, rng), tau)
@@ -349,7 +383,8 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed) -> Reco
         if kind == "conjugated-product":
             u = lift_b(random_isometry(d_a, d_a, rng), d_b)
             rho_ab, sigma_ab = u @ rho_ab @ dagger(u), u @ sigma_ab @ dagger(u)
-    elif kind == "blocked":
+        return rho_ab, sigma_ab
+    if kind == "blocked":
         sizes = (d_a - d_a // 2, d_a // 2)
         w = _block_weights(rng)
         v = _block_weights(rng)
@@ -362,17 +397,8 @@ def build_recoverable_triple(kind: str, dims: tuple[int, int], rng_seed) -> Reco
             rho_a[sl, sl] = w[k] * _tempered_density(size, rng)
             sigma_a[sl, sl] = v[k] * _tempered_density(size, rng)
             offset += size
-        rho_ab = np.kron(rho_a, tau)
-        sigma_ab = np.kron(sigma_a, tau)
-    else:
-        raise ValueError(f"kind must be one of {RECOVERABLE_KINDS}, got {kind!r}")
-    rho, sigma = DensityMatrix(rho_ab), DensityMatrix(sigma_ab)
-    cert = recovery_error(rho, sigma, partial_trace_channel(d_a, d_b))
-    if cert > 1e-9:
-        raise RenyiDpiError(
-            f"recoverable-triple certificate failed: recovery error {cert:.3e}"
-        )
-    return RecoverablePair(rho, sigma, cert)
+        return np.kron(rho_a, tau), np.kron(sigma_a, tau)
+    raise ValueError(f"kind must be one of {RECOVERABLE_KINDS}, got {kind!r}")
 
 
 def _block_weights(rng: np.random.Generator) -> tuple[float, float]:
@@ -431,10 +457,15 @@ class SaturationContext:
     stacked over the whole grid: t3 and petz_beta have shape
     (n_alpha, n_beta); t1, t1_geo, necessary1 and dpi_gap (unclamped)
     have shape (n_alpha,). Row i of every array belongs to alphas[i].
+
+    Built from stacks of T triples, every diagnostic leads with the trial
+    axis T (commutator, recovery_error and necessary2 have shape (T,)),
+    and trial(t) is the context of triple t, equal to its one-triple
+    build.
     """
 
-    commutator: float
-    recovery_error: float
+    commutator: float | np.ndarray
+    recovery_error: float | np.ndarray
     alphas: tuple[float, ...]
     betas: np.ndarray
     t3: np.ndarray
@@ -442,13 +473,13 @@ class SaturationContext:
     t1: np.ndarray
     t1_geo: np.ndarray
     necessary1: np.ndarray
-    necessary2: float
+    necessary2: float | np.ndarray
     dpi_gap: np.ndarray
 
     @classmethod
     def build(cls, rho_ab: DensityMatrix, sigma_ab: DensityMatrix,
               dims: tuple[int, int], orders, beta_grid=None,
-              recovery: float | None = None) -> "SaturationContext":
+              recovery=None) -> "SaturationContext":
         """Diagnostics of the triple at each of `orders` (one order or a
         1-D sequence). beta_grid is one grid for every order; None takes
         default_beta_grid(alpha) for each order's row. recovery is the
@@ -456,7 +487,11 @@ class SaturationContext:
         RecoverablePair's certificate); None computes it. Each family runs
         once over the whole grid, so an error is that of the first family
         that fails at any order; a stacked family's error names the first
-        failing slice, and slice i is the order alphas[i]."""
+        failing slice, and slice i is the order alphas[i] (slice (t, i)
+        for stacks of triples, whose recovery is a (T,) array)."""
+        if rho_ab.batch != sigma_ab.batch:
+            raise DimensionMismatch(f"state stacks of shapes {rho_ab.batch} and "
+                                    f"{sigma_ab.batch} differ")
         dims = (int(dims[0]), int(dims[1]))
         alphas = np.atleast_1d(order_array(orders))
         if beta_grid is None:
@@ -478,6 +513,15 @@ class SaturationContext:
                    necessary1=necessary1_residual(rho_ab, sigma_ab, ch, alphas),
                    necessary2=necessary2_residual(rho_ab, sigma_ab, ch),
                    dpi_gap=dpi_gap(rho_ab, sigma_ab, ch, alphas))
+
+    def trial(self, t: int) -> "SaturationContext":
+        """The context of triple t of a stacked build."""
+        return replace(self, **{name: getattr(self, name)[t] for name in _PER_TRIAL})
+
+
+# The SaturationContext fields that lead with the trial axis of a stack.
+_PER_TRIAL = ("commutator", "recovery_error", "t3", "petz_beta", "t1", "t1_geo",
+              "necessary1", "necessary2", "dpi_gap")
 
 
 def full_report(ctx: SaturationContext, order) -> ResidualReport:

@@ -258,17 +258,26 @@ def product_power(rho: np.ndarray, sigma: SpectralDecomposition, alpha,
     which avoids any non-normal eigenproblem. alpha is a scalar or a 1-D
     array of shape A, and z has shape (*A, *K); the result has shape
     (*A, *K, d, d), with one batched eigensolve of the middle factors for
-    all of it.
+    all of it. A (*B, d, d) stack rho with sigma's eigen-data of batch B
+    raises slice b of rho against slice b of sigma: alpha and z are
+    broadcast over B, and the result has shape (*B, *A, *K, d, d).
     """
-    rho = _as_square(rho)
+    rho = _as_stack(rho)
     sd = _above_floor(sigma)
-    if rho.shape[0] != len(sd.eigenvalues):
+    batch = sd.eigenvalues.shape[:-1]
+    if rho.shape[-1] != sd.eigenvalues.shape[-1]:
         raise DimensionMismatch(
-            f"rho side {rho.shape[0]} and sigma side {len(sd.eigenvalues)} differ"
+            f"rho side {rho.shape[-1]} and sigma side {sd.eigenvalues.shape[-1]} differ"
         )
+    if rho.shape[:-2] != batch:
+        raise DimensionMismatch(f"rho stack {rho.shape[:-2]} and sigma stack {batch} differ")
     alpha = np.asarray(alpha, dtype=float)
-    s_mhalf = sd.power(-alpha / 2.0)
-    return congruence_power(rho, s_mhalf, z, sd.power(alpha / 2.0), s_mhalf)
+    half = alpha / 2.0
+    if batch:
+        half = np.broadcast_to(half, batch + alpha.shape)
+        z = np.broadcast_to(np.asarray(z, dtype=complex), batch + np.shape(z))
+    s_mhalf = sd.power(-half)
+    return congruence_power(unit_axes(rho, alpha.ndim), s_mhalf, z, sd.power(half), s_mhalf)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], traced: str = "B") -> np.ndarray:
@@ -303,15 +312,18 @@ def vectorize(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1).copy()
 
 
-def schatten_norm(m: np.ndarray, p: float) -> float:
-    """Schatten p-norm, (sum_i s_i^p)^(1/p) over singular values."""
+def schatten_norm(m: np.ndarray, p: float):
+    """Schatten p-norm, (sum_i s_i^p)^(1/p) over singular values; a float
+    for one matrix, and for a (*B, n, m) stack the array of the slices'
+    norms from one batched SVD."""
     if p < 1.0:
         raise InvalidOrder(f"Schatten order must satisfy p >= 1, got {p}")
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    return float(np.sum(s**p) ** (1.0 / p))
+    norm = np.sum(s**p, axis=-1) ** (1.0 / p)
+    return norm if norm.ndim else float(norm)
 
 
-def trace_norm(m: np.ndarray) -> float:
+def trace_norm(m: np.ndarray):
     return schatten_norm(m, 1.0)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateWeight, DimensionMismatch, NotPositiveDefinite, SingularResolvent
 from .linalg import (EPS_POS, SpectralDecomposition, dagger, frobenius, herm_part,
-                     hermitian_eig, lift_b, order_array, positive_eig, vectorize)
+                     hermitian_eig, lift_b, order_array, positive_eig, unit_axes, vectorize)
 from .quantum import DensityMatrix
 
 # Eigenvalues of a compressed operator below this cutoff are treated as
@@ -46,13 +46,16 @@ class RelativeModularOperator:
         self.dim = sigma.dim
 
     def apply_power(self, z: complex, a: np.ndarray) -> np.ndarray:
-        """sigma^z a omega^-z; a stack of operands maps slice by slice."""
+        """sigma^z a omega^-z; a stack of operands maps slice by slice.
+        For a pair of state stacks of batch (T,), the operands have shape
+        (T, *K, d, d), and slice t of the states acts on a[t]."""
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"operand shape {a.shape} does not match dim {self.dim}"
             )
-        return self.sigma.power(z) @ a @ self.omega.power(-z)
+        k = a.ndim - 2 - len(self.sigma.batch)
+        return unit_axes(self.sigma.power(z), k) @ a @ unit_axes(self.omega.power(-z), k)
 
     def matrix_power(self, z: complex = 1.0) -> np.ndarray:
         """Super-operator matrix of the z-th power, kron(sigma^z, (omega^-z)^T)."""
@@ -126,7 +129,8 @@ class CompressionIsometry:
 
     Maps operators on A into operators on AB; U^dagger U = I and
     U |rho_A^(1/2)> = |rho_AB^(1/2)>. The projector P = U U^dagger is the
-    compression used in all Jensen-equality diagnostics.
+    compression used in all Jensen-equality diagnostics. For a stack of T
+    states, matrix is the (T, d^2, d_A^2) stack of their isometries.
     """
 
     def __init__(self, rho_ab: DensityMatrix, d_a: int, d_b: int):
@@ -140,8 +144,10 @@ class CompressionIsometry:
         # Column k d_A + l is the row-major vector of
         # (E_kl rho_A^{-1/2} otimes I_B) rho_AB^{1/2}, E_kl the unit matrix.
         units = np.eye(d_a * d_a, dtype=complex).reshape(-1, d_a, d_a)
-        images = lift_b(units @ self.rho_a.power(-0.5), d_b) @ rho_ab.sqrt()
-        self.matrix = np.ascontiguousarray(images.reshape(d_a * d_a, -1).T)
+        images = (lift_b(units @ unit_axes(self.rho_a.power(-0.5), 1), d_b)
+                  @ unit_axes(rho_ab.sqrt(), 1))
+        flat = images.reshape(rho_ab.batch + (d_a * d_a, -1))
+        self.matrix = np.ascontiguousarray(flat.swapaxes(-1, -2))
         self.matrix.setflags(write=False)
 
     @property
@@ -186,8 +192,9 @@ def compression_identity_residual(ci: CompressionIsometry, sigma_ab: DensityMatr
     return frobenius(dagger(u) @ big @ u - small)
 
 
-def jensen_commutator_norm(ci: CompressionIsometry, dop: RelativeModularOperator) -> float:
-    """Frobenius norm of the global commutator [P, Delta].
+def jensen_commutator_norm(ci: CompressionIsometry, dop: RelativeModularOperator):
+    """Frobenius norm of the global commutator [P, Delta]; for a stack of
+    states, the array of the slices' norms.
 
     Vanishes exactly when the compression range is an invariant subspace
     of the modular operator, which is the operator form of Jensen
@@ -209,7 +216,8 @@ def jensen_commutator_norm(ci: CompressionIsometry, dop: RelativeModularOperator
         raise DimensionMismatch("modular operator does not act on the AB space")
     u = ci.matrix
     d = dop.dim
-    delta_u = dop.apply_power(1.0, u.T.reshape(-1, d, d)).reshape(-1, d * d).T
+    ops = u.swapaxes(-1, -2).reshape(u.shape[:-2] + (-1, d, d))
+    delta_u = dop.apply_power(1.0, ops).reshape(u.shape[:-2] + (-1, d * d)).swapaxes(-1, -2)
     return np.sqrt(2.0) * frobenius(delta_u - u @ (dagger(u) @ delta_u))
 
 

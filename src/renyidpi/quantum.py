@@ -54,24 +54,12 @@ class DensityMatrix:
     whose min_eig is an array over the slices.
     """
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, stacked: bool = False):
+        # stacked is set only by DensityMatrix.stack.
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquare(f"expected a square matrix, got shape {m.shape}")
-        self._check_and_store(m)
-
-    @classmethod
-    def stack(cls, matrices) -> "DensityMatrix":
-        """A stack of T states from a (T, d, d) array, checked slice by
-        slice; an error names the first failing slice."""
-        m = np.asarray(matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise NonSquare(f"expected a (T, d, d) stack, got shape {m.shape}")
-        state = cls.__new__(cls)
-        state._check_and_store(m)
-        return state
-
-    def _check_and_store(self, m: np.ndarray) -> None:
+        if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+            kind = "a (T, d, d) stack" if stacked else "a square matrix"
+            raise NonSquare(f"expected {kind}, got shape {m.shape}")
         if failing_slice(frobenius(m - dagger(m)) > HERM_RTOL * np.maximum(frobenius(m), 1.0)):
             hermitian_eig(m)  # raises with the precise reason
         # Decompose the hermitized matrix so the cached spectral data is a
@@ -99,6 +87,12 @@ class DensityMatrix:
         self._pow_cache: dict = {}
         self._reduced_cache: dict[tuple[int, int], DensityMatrix] = {}
 
+    @classmethod
+    def stack(cls, matrices) -> "DensityMatrix":
+        """A stack of T states from a (T, d, d) array, checked slice by
+        slice; an error names the first failing slice."""
+        return cls(matrices, stacked=True)
+
     def power(self, z) -> np.ndarray:
         """Principal matrix power, cached per exponent and read-only.
 
@@ -113,12 +107,13 @@ class DensityMatrix:
             key = z = complex(z)
         got = self._pow_cache.get(key)
         if got is None:
-            got = self._pow_cache[key] = self.spectral.power(self._per_slice(z))
+            got = self._pow_cache[key] = self.spectral.power(self.per_slice(z))
             got.setflags(write=False)
         return got
 
-    def _per_slice(self, z):
-        # The exponents z, shape K, repeated for each slice of a stack.
+    def per_slice(self, z):
+        """The exponents z, shape K, repeated for each slice of a stack as a
+        complex array of shape (T, *K); z itself for one state."""
         if not self.batch:
             return z
         return np.broadcast_to(np.asarray(z, dtype=complex), self.batch + np.shape(z))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -156,13 +157,19 @@ class TestSummary:
 class TestAlphaIndependentWork:
     def test_once_per_trial(self, monkeypatch):
         # The compression and the commutator do not depend on alpha: one
-        # of each per trial, whatever the length of the alpha grid.
+        # of each per stacked pass, whatever the length of the alpha grid.
+        # The three trials make one pass on either grid.
         compressions = counting(monkeypatch, equality, "CompressionIsometry")
         commutators = counting(monkeypatch, equality, "jensen_commutator_norm")
-        cfg = ExperimentConfig(scenario="equality-scan", seed=12, trials=3)
-        rows, _ = run(cfg)
-        assert len(cfg.alpha_grid) == 10 and len(rows) == 30
-        assert len(compressions) == len(commutators) == 3
+        counts = []
+        for grid in ((0.5,), DEFAULT_ALPHA_GRID):
+            compressions.clear()
+            commutators.clear()
+            rows, _ = run(ExperimentConfig(scenario="equality-scan", seed=12, trials=3,
+                                           alpha_grid=grid))
+            assert len(rows) == 3 * len(grid)
+            counts.append((len(compressions), len(commutators)))
+        assert len(DEFAULT_ALPHA_GRID) == 10 and counts == [(1, 1), (1, 1)]
 
     @pytest.mark.parametrize("scenario", ["dpi-scan", "integral-check"])
     def test_eigensolves_do_not_grow_with_the_grid(self, monkeypatch, scenario):
@@ -176,6 +183,30 @@ class TestAlphaIndependentWork:
             run(ExperimentConfig(scenario=scenario, seed=3, trials=2, alpha_grid=grid))
             counts.append(len(eighs))
         assert len(DEFAULT_ALPHA_GRID) == 10 and counts[0] == counts[1] > 0
+
+
+class TestSaturationPasses:
+    # A saturation pass stacks at most SATURATION_ENTRIES entries of
+    # n_alpha * n_beta * d^2 each, so 4x4 runs one trial per pass.
+
+    def test_trials_per_pass_under_the_default_grids(self):
+        sizes = {dims: cli._saturation_pass(ExperimentConfig(scenario=scenario, dims=dims))
+                 for dims in ((2, 2), (2, 3), (3, 2), (4, 4))
+                 for scenario in ("equality-scan", "recovery-test")}
+        assert sizes == {(2, 2): 16, (2, 3): 7, (3, 2): 7, (4, 4): 1}
+
+    def test_4x4_peak_memory_does_not_grow_with_the_trials(self):
+        cfg = dict(scenario="equality-scan", seed=1, dims=(4, 4))
+        run(ExperimentConfig(**cfg, trials=1))  # first-call caches
+        peaks = []
+        for trials in (1, 4):
+            tracemalloc.start()
+            try:
+                run(ExperimentConfig(**cfg, trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestEmit:
@@ -336,9 +367,11 @@ class TestMain:
 
 
 class TestStackedScans:
-    # divergence and dpi-scan evaluate a block of trials in one stacked pass.
+    # Every scenario but variational-check and integral-check evaluates a
+    # block of trials in stacked passes.
 
-    @pytest.mark.parametrize("scenario", ["divergence", "dpi-scan"])
+    @pytest.mark.parametrize("scenario", ["divergence", "dpi-scan", "equality-scan",
+                                          "recovery-test"])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     def test_blocks_equal_one_trial_runs(self, monkeypatch, scenario, dims):
         # Blocks of 3 (the last one short) against the one-state path.
@@ -390,7 +423,9 @@ class TestStackedScans:
         assert [r for r in rows if r.trial != 3] == [r for r in clean if r.trial != 3]
 
     def test_a_failing_per_trial_scenario_trial_is_recorded_alone(self, monkeypatch):
-        # recovery-test runs trial by trial; trial 2's triple raises.
+        # recovery-test runs the four trials in one stacked pass; any
+        # triple built from trial 2's generator raises, so the pass
+        # fails and its trials run again one by one.
         cfg = dict(scenario="recovery-test", seed=1, trials=4)
         clean, _ = run(ExperimentConfig(**cfg))
         build = cli.build_recoverable_triple
@@ -404,7 +439,7 @@ class TestStackedScans:
 
         def planted(kind, dims, rng):
             pair = build(kind, dims, rng)  # the real draws
-            if rng in trial_2:
+            if any(r in trial_2 for r in (rng if isinstance(rng, list) else [rng])):
                 raise RenyiDpiError("planted failure")
             return pair
 
@@ -435,12 +470,15 @@ class TestStackedScans:
             assert [replace(r, trial=0) for r in block] == one_rows
 
     def test_recovery_test_reuses_the_certificate(self, monkeypatch):
-        # The certificate's recovery error is the context's: one trace-norm
-        # SVD per trial, as for equality-scan.
+        # The certificate's recovery error is the context's: one batched
+        # trace-norm SVD per stacked pass, as for equality-scan. Blocks of
+        # two split the three trials into two passes.
         svds = counting(monkeypatch, np.linalg, "svd")
         counts = []
-        for scenario in ("recovery-test", "equality-scan"):
-            svds.clear()
-            run(ExperimentConfig(scenario=scenario, seed=3, trials=3, alpha_grid=(0.5,)))
-            counts.append(len(svds))
-        assert counts[0] == counts[1] == 3
+        for block in (64, 2):
+            monkeypatch.setattr(cli, "TRIAL_BLOCK", block)
+            for scenario in ("recovery-test", "equality-scan"):
+                svds.clear()
+                run(ExperimentConfig(scenario=scenario, seed=3, trials=3, alpha_grid=(0.5,)))
+                counts.append(len(svds))
+        assert counts == [1, 1, 2, 2]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from renyidpi import (
     RECOVERABLE_KINDS,
     SATURATION_TOL,
     RelativeModularOperator,
+    RenyiDpiError,
     SingularOutputState,
     alpha_recover,
     build_recoverable_triple,
@@ -309,6 +312,70 @@ class TestOrderStacks:
             full_report(ctx, 1.5)
         with pytest.raises(InvalidAlpha):
             SaturationContext.build(rho, sigma, (2, 2), (0.5, 0.0))
+
+
+class TestTrialStacks:
+    """Stacks of T triples: every diagnostic of the context, the
+    recoverable triples with their certificates, and the recovery map
+    equal the one-triple calls slice by slice, bit for bit."""
+
+    FIELDS = [f.name for f in dataclasses.fields(SaturationContext)]
+
+    @staticmethod
+    def stacked_and_single(dims, seed):
+        # (stacked pair, certificate or None, [(one pair, certificate or None)])
+        # for T = 3 random pairs, then for one triple of each kind.
+        dim = dims[0] * dims[1]
+        rngs = [stream(seed, t) for t in range(3)]
+        singles = []
+        for t in range(3):
+            rng = stream(seed, t)
+            singles.append((random_density(dim, rng), random_density(dim, rng), None))
+        yield (random_density(dim, rngs), random_density(dim, rngs), None), singles
+        rngs = [stream(seed + 1, t) for t in range(3)]
+        pair = build_recoverable_triple(list(RECOVERABLE_KINDS), dims, rngs)
+        singles = [(*one, one.recovery_error) for one in (
+            build_recoverable_triple(kind, dims, stream(seed + 1, t))
+            for t, kind in enumerate(RECOVERABLE_KINDS))]
+        yield (*pair, pair.recovery_error), singles
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_context_slices_equal_one_triple_builds(self, dims):
+        for (rho, sigma, cert), singles in self.stacked_and_single(dims, 80):
+            assert rho.batch == sigma.batch == (3,)
+            for grid in (None, (0.5 + 0j, -0.3 + 0j, 0.5j)):
+                ctx = SaturationContext.build(rho, sigma, dims, DEFAULT_ALPHA_GRID, grid, cert)
+                assert ctx.t3.shape == (3, len(DEFAULT_ALPHA_GRID), 9 if grid is None else 3)
+                for t, (one_rho, one_sigma, one_cert) in enumerate(singles):
+                    assert np.array_equal(rho.matrix[t], one_rho.matrix)
+                    assert np.array_equal(sigma.matrix[t], one_sigma.matrix)
+                    one = SaturationContext.build(one_rho, one_sigma, dims, DEFAULT_ALPHA_GRID,
+                                                  grid, one_cert)
+                    view = ctx.trial(t)
+                    for name in self.FIELDS:
+                        assert np.array_equal(getattr(view, name), getattr(one, name)), name
+
+    def test_recovery_map_on_a_stack(self):
+        rngs = [stream(82, t) for t in range(3)]
+        sigma = random_density(6, rngs)
+        xs = np.stack([rand_pd(np.random.default_rng(t), 2) for t in range(3)])
+        ch = partial_trace_channel(2, 3)
+        orders = np.array(DEFAULT_ALPHA_GRID)
+        stacked, one_order = alpha_recover(sigma, ch, orders, xs), alpha_recover(sigma, ch, 0.3, xs)
+        assert stacked.shape == (3, len(orders), 6, 6) and one_order.shape == (3, 6, 6)
+        for t in range(3):
+            one = random_density(6, stream(82, t))
+            assert np.array_equal(stacked[t], alpha_recover(one, ch, orders, xs[t]))
+            assert np.array_equal(one_order[t], alpha_recover(one, ch, 0.3, xs[t]))
+        with pytest.raises(DimensionMismatch):
+            alpha_recover(sigma, ch, 0.3, xs[0])
+
+    def test_a_failing_certificate_names_its_slice(self, monkeypatch):
+        monkeypatch.setattr(equality, "recovery_error", lambda *args: np.array([0.0, 2e-9, 3e-9]))
+        with pytest.raises(RenyiDpiError, match=r"^slice 1: recoverable-triple certificate "
+                                                r"failed: recovery error 2\.000e-09$"):
+            build_recoverable_triple(list(RECOVERABLE_KINDS), (2, 2),
+                                     [stream(83, t) for t in range(3)])
 
 
 class TestGeometricMean:

@@ -19,6 +19,7 @@ from renyidpi import (
     partial_trace,
     product_power,
     schatten_norm,
+    trace_norm,
     vectorize,
 )
 from renyidpi.linalg import congruence_power, positive_eig
@@ -156,6 +157,28 @@ class TestStacks:
         powers = matrix_power_psd(ms, alphas)
         for k, alpha in enumerate(alphas):
             assert np.array_equal(powers[k], matrix_power_psd(ms[k], alpha))
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_product_power_and_trace_norm_of_a_stack(self, d):
+        # Slice t of rho against slice t of sigma's eigen-data, over the
+        # orders and a row of exponents per order.
+        rng = np.random.default_rng(45 + d)
+        rhos, sd = self.stack(rng, 4, d), hermitian_eig(self.stack(rng, 4, d))
+        alphas = np.array([-0.9, 0.3, 0.5])
+        zs = np.array([[1.0, 0.5j], [-2.0, 0.3], [0.0, 1.0 - 1j]])
+        ms = np.stack([rand_complex(rng, d) for _ in range(4)])
+        stack = product_power(rhos, sd, alphas, zs)
+        single = product_power(rhos, sd, 0.5, 0.5j)
+        norms = trace_norm(ms)
+        assert stack.shape == (4, 3, 2, d, d) and single.shape == (4, d, d)
+        assert norms.shape == (4,) and type(trace_norm(ms[0])) is float
+        for t in range(4):
+            one = SpectralDecomposition(sd.eigenvalues[t], sd.eigenvectors[t])
+            assert np.array_equal(stack[t], product_power(rhos[t], one, alphas, zs))
+            assert np.array_equal(single[t], product_power(rhos[t], one, 0.5, 0.5j))
+            assert norms[t] == trace_norm(ms[t])
+        with pytest.raises(DimensionMismatch):
+            product_power(rhos[:3], sd, 0.5, 1.0)
 
     def test_stack_raises_when_one_slice_is_not_hermitian(self):
         rng = np.random.default_rng(43)

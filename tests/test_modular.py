@@ -159,6 +159,25 @@ class TestCompression:
                 for e in units])
             assert np.array_equal(ci.matrix, ref)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_a_stack_of_states_equals_its_slices(self, dims):
+        # The isometries and the Jensen commutator norms of T = 4 states
+        # in one pass, each slice equal to the one-state call.
+        d_a, d_b = dims
+        rngs = [stream(26, t) for t in range(4)]
+        rho_ab = random_density(d_a * d_b, rngs)
+        sigma_ab = random_density(d_a * d_b, rngs)
+        ci = CompressionIsometry(rho_ab, d_a, d_b)
+        norms = jensen_commutator_norm(ci, RelativeModularOperator(sigma_ab, rho_ab))
+        assert ci.matrix.shape == (4, (d_a * d_b) ** 2, d_a * d_a) and norms.shape == (4,)
+        for t in range(4):
+            rng = stream(26, t)
+            one_rho, one_sigma = random_density(d_a * d_b, rng), random_density(d_a * d_b, rng)
+            one = CompressionIsometry(one_rho, d_a, d_b)
+            assert np.array_equal(ci.matrix[t], one.matrix)
+            assert norms[t] == jensen_commutator_norm(
+                one, RelativeModularOperator(one_sigma, one_rho))
+
     def test_maps_purification(self):
         rho_ab = random_density(6, 23)
         ci = CompressionIsometry(rho_ab, 2, 3)

@@ -21,6 +21,7 @@ from renyidpi import (
     vectorize,
 )
 from renyidpi.linalg import lift_b
+from helpers import counting
 
 PAULIS = (
     np.eye(2, dtype=complex),
@@ -317,6 +318,15 @@ class TestStacks:
             DensityMatrix.stack(np.eye(2) / 2)
         with pytest.raises(DimensionMismatch):
             KrausChannel.stack((np.eye(2),))
+
+    def test_stacks_go_through_the_constructor(self, monkeypatch):
+        # A wrapper of DensityMatrix.__init__ sees every state, stacked or
+        # not: random_density on generators, reduced states and stack.
+        inits = counting(monkeypatch, DensityMatrix, "__init__")
+        rho = random_density(4, [stream(11, t) for t in range(3)])
+        rho.reduced((2, 2))
+        DensityMatrix.stack(rho.matrix)
+        assert len(inits) == 3
 
     def test_stack_errors_name_the_slice(self):
         states = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])], dtype=complex)
